@@ -9,6 +9,7 @@ report; failures become report entries with witnesses, never exceptions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -20,17 +21,23 @@ from .characters import (
     restrict_drop_last,
     specialize_q1,
     total_dim,
-    zeroth_piece,
 )
 from .oracle import freudenthal_character, weyl_dim
-from .patterns import enumerate_patterns, enumerate_restricted_patterns
+from .patterns import (
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    interlacing_rows,
+    pattern_to_json,
+    pattern_weight,
+)
 from .pops import (
+    _weight_by_roots,
     enumerate_f,
     enumerate_pops,
     enumerate_restricted_pops,
     pop_count_formula,
 )
-from .rootsys import DominantWeight
+from .rootsys import DominantWeight, lambda_to_omegas, lambda_tuple
 
 
 @dataclass(frozen=True)
@@ -78,22 +85,13 @@ def shtepin_branch_v(lam: DominantWeight) -> list:
     """Bounding sequences of the intermediate-algebra constituents of the
     irreducible module: all integer tuples eta with lam_i >= eta_i >= lam_{i+1}
     (lam_{r+1} = 0), each exactly once."""
-    lam_t = lam.lam
-    r = lam.rank
-    ranges = [
-        range(lam_t[i + 1] if i + 1 < r else 0, lam_t[i] + 1) for i in range(r)
-    ]
-    return [eta for eta in itertools.product(*ranges)]
+    return list(interlacing_rows(lam.lam + (0,)))
 
 
 def shtepin_branch_l(eta) -> list:
     """Constituents of an intermediate-algebra module: all (r-1)-tuples nu
     with eta_i >= nu_i >= eta_{i+1}."""
-    eta = tuple(int(x) for x in eta)
-    if any(eta[i] < eta[i + 1] for i in range(len(eta) - 1)):
-        raise ValueError(f"bounding sequence must be weakly decreasing: {eta}")
-    ranges = [range(eta[i + 1], eta[i] + 1) for i in range(len(eta) - 1)]
-    return [nu for nu in itertools.product(*ranges)]
+    return list(interlacing_rows(lambda_tuple(eta)))
 
 
 @dataclass
@@ -159,56 +157,39 @@ def _character_diff_witness(a: GradedCharacter, b: GradedCharacter) -> str:
     return "none"
 
 
-def _refinement_by_top_block(lam: DominantWeight) -> CheckResult:
-    # Group overlaid patterns by the gap and overlay data of the final barred
-    # block; the groups must jointly enumerate the admissible block choices,
-    # each group the size of the restricted enumeration it points at.
-    r = lam.rank
-    groups = {}
-    for pop in enumerate_pops(lam):
-        lam_row = pop.pattern.lambda_rows[-1]
-        eta_row = pop.pattern.eta_rows[-1]
-        ells = tuple(lam_row[i] - eta_row[i] for i in range(r))
-        parts = tuple(pop.barred_overlays[(i, r)] for i in range(1, r + 1))
-        groups[(ells, parts)] = groups.get((ells, parts), 0) + 1
+def _refinement_by_top_block(top: tuple, restricted: bool) -> tuple:
+    # Group the overlaid patterns bounded by ``top`` (restricted ones when
+    # ``restricted``) by the gaps and overlays of the block just under the
+    # top row: the final barred block of a full pattern, the top unbarred
+    # block of a restricted one. The groups must be exactly the admissible
+    # block choices, each the size of the enumeration one half-step down
+    # that the choice bounds. Returns (groups, expected groups, witness).
+    omegas = lambda_to_omegas(top)
+    if restricted:
+        omegas = omegas[:-1]
+        pops, lower = enumerate_restricted_pops, enumerate_pops
+    else:
+        pops, lower = enumerate_pops, enumerate_restricted_pops
+    k = len(omegas)
+    groups = Counter()
+    for pop in pops(top):
+        p = pop.pattern
+        below = (p.lambda_rows if restricted else p.eta_rows)[-1]
+        block = pop.unbarred_overlays if restricted else pop.barred_overlays
+        ells = tuple(a - b for a, b in zip(top, below))
+        groups[(ells, tuple(block[(i, k)] for i in range(1, k + 1)))] += 1
     expected = {}
-    for combo in itertools.product(*(list(enumerate_f(mi)) for mi in lam.omegas)):
+    for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
         ells = tuple(ell for ell, _ in combo)
         parts = tuple(s for _, s in combo)
-        eta = tuple(lam.lam[i] - ells[i] for i in range(r))
-        expected[(ells, parts)] = sum(1 for _ in enumerate_restricted_pops(eta))
-    if groups == expected:
-        return CheckResult("pop-refinement-by-top-block", "ok",
-                           len(groups), len(expected))
+        target = tuple(t - ell for t, ell in zip(top, ells))
+        expected[(ells, parts)] = sum(1 for _ in lower(target))
+    witness = None
     for key in sorted(set(groups) | set(expected)):
         if groups.get(key) != expected.get(key):
             witness = f"block {key}: {groups.get(key, 0)} vs {expected.get(key, 0)}"
             break
-    return CheckResult("pop-refinement-by-top-block", "fail",
-                       len(groups), len(expected), witness)
-
-
-def _restricted_refinement(eta: tuple) -> bool:
-    # Same refinement one half-step down: group restricted overlaid patterns
-    # by their top unbarred block, against rank-(r-1) enumerations.
-    r = len(eta)
-    n = tuple(eta[i] - (eta[i + 1] if i + 1 < r else 0) for i in range(r))
-    groups = {}
-    for rpop in enumerate_restricted_pops(eta):
-        eta_row = rpop.pattern.eta_rows[-1]
-        lam_row = rpop.pattern.lambda_rows[-1]
-        ells = tuple(eta_row[i] - lam_row[i] for i in range(r - 1))
-        parts = tuple(rpop.unbarred_overlays[(i, r - 1)] for i in range(1, r))
-        groups[(ells, parts)] = groups.get((ells, parts), 0) + 1
-    expected = {}
-    for combo in itertools.product(*(list(enumerate_f(n[i])) for i in range(r - 1))):
-        ells = tuple(ell for ell, _ in combo)
-        parts = tuple(s for _, s in combo)
-        target = tuple(eta[i] - ells[i] for i in range(r - 1))
-        expected[(ells, parts)] = sum(
-            1 for _ in enumerate_pops(DominantWeight.from_lambdas(target))
-        )
-    return groups == expected
+    return len(groups), len(expected), witness
 
 
 def verify_identities(lam: DominantWeight) -> Report:
@@ -218,7 +199,16 @@ def verify_identities(lam: DominantWeight) -> Report:
     report = Report(lam)
     entries = report.entries
 
-    n_patterns = sum(1 for _ in enumerate_patterns(lam))
+    n_patterns = 0
+    weights_agree = 0
+    weight_witness = None
+    for p in enumerate_patterns(lam):
+        n_patterns += 1
+        w, by_roots = pattern_weight(p), _weight_by_roots(p)
+        if w == by_roots:
+            weights_agree += 1
+        elif weight_witness is None:
+            weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
     dim_v = weyl_dim(lam)
     entries.append(CheckResult(
         "pattern-count-vs-weyl-dim",
@@ -242,34 +232,33 @@ def verify_identities(lam: DominantWeight) -> Report:
             len(direct.terms), len(fermionic.terms),
             _character_diff_witness(direct, fermionic)))
 
-    zero_slice = zeroth_piece(direct).grade_slice(0)
-    table = freudenthal_character(lam).mults
+    zero_slice = direct.grade_slice(0)
+    table = freudenthal_character(lam)
     entries.append(CheckResult(
         "zeroth-piece-vs-freudenthal",
         "ok" if zero_slice == table else "fail",
         sum(zero_slice.values()), sum(table.values())))
 
-    entries.append(_refinement_by_top_block(lam))
+    n_groups, n_expected, witness = _refinement_by_top_block(lam.lam, False)
+    entries.append(CheckResult(
+        "pop-refinement-by-top-block", "fail" if witness else "ok",
+        n_groups, n_expected, witness))
 
+    etas = shtepin_branch_v(lam)
     if r >= 2:
-        etas = {
-            tuple(lam.lam[i] - ells[i] for i in range(r))
-            for ells in itertools.product(*(range(mi + 1) for mi in lam.omegas))
-        }
         bad = None
-        for eta in sorted(etas):
-            if not _restricted_refinement(eta):
-                bad = eta
+        for eta in etas:
+            witness = _refinement_by_top_block(eta, True)[2]
+            if witness:
+                bad = f"eta={eta}: {witness}"
                 break
         entries.append(CheckResult(
             "restricted-refinement-by-top-block",
-            "ok" if bad is None else "fail", len(etas), len(etas),
-            None if bad is None else f"eta={bad}"))
+            "ok" if bad is None else "fail", len(etas), len(etas), bad))
     else:
         entries.append(CheckResult(
             "restricted-refinement-by-top-block", "skipped"))
 
-    etas = shtepin_branch_v(lam)
     total_intermediate = sum(_restricted_pattern_count(eta) for eta in etas)
     entries.append(CheckResult(
         "irreducible-dim-vs-intermediate-sum",
@@ -318,4 +307,8 @@ def verify_identities(lam: DominantWeight) -> Report:
         entries.append(CheckResult("weyl-filtration-dimension", "skipped"))
         entries.append(CheckResult("ungraded-restriction-character", "skipped"))
 
+    entries.append(CheckResult(
+        "pattern-weight-vs-root-expansion",
+        "ok" if weight_witness is None else "fail",
+        n_patterns, weights_agree, weight_witness))
     return report

@@ -296,15 +296,6 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     return ch
 
 
-def zeroth_piece(ch: GradedCharacter) -> GradedCharacter:
-    """Restriction to grade 0."""
-    out = GradedCharacter(ch.rank)
-    for (grade, weight), mult in ch.terms.items():
-        if grade == 0:
-            out.add_term(0, weight, mult)
-    return out
-
-
 def specialize_q1(ch: GradedCharacter) -> GradedCharacter:
     """Collapse all grades to 0, summing multiplicities per weight."""
     out = GradedCharacter(ch.rank)

@@ -16,8 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import cache as cache_mod
 from .branching import shtepin_branch_l, shtepin_branch_v, verify_identities, weyl_filtration
@@ -48,17 +46,6 @@ MONOMIAL_GRAMMAR = (
     'monomial text grammar: WORD := "1" | FACTOR (" " FACTOR)* ; '
     'FACTOR := "x-(" I "," J ["~"] ")@t^" S with "~" marking a barred label'
 )
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation settings shared by the subcommands."""
-
-    weight: DominantWeight
-    method: str = "direct"
-    fmt: str = "text"
-    cache_dir: Optional[str] = None
-    verbose: bool = False
 
 
 def _parse_int_tuple(text: str, parser: argparse.ArgumentParser, flag: str) -> tuple:
@@ -96,23 +83,12 @@ def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
                      help="weakly decreasing tuple lam_1,...,lam_r")
 
 
-def _config(args, parser) -> RunConfig:
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR)
-    return RunConfig(
-        weight=_resolve_weight(args, parser),
-        method=getattr(args, "method", "direct"),
-        fmt=getattr(args, "format", "text"),
-        cache_dir=cache_dir,
-        verbose=getattr(args, "verbose", False),
-    )
-
-
 def cmd_dim(args, parser) -> int:
-    cfg = _config(args, parser)
-    value = weyl_dim(cfg.weight) if args.irreducible else pop_count_formula(cfg.weight)
+    weight = _resolve_weight(args, parser)
+    value = weyl_dim(weight) if args.irreducible else pop_count_formula(weight)
     if args.check:
-        stream = enumerate_patterns(cfg.weight) if args.irreducible \
-            else enumerate_pops(cfg.weight)
+        stream = enumerate_patterns(weight) if args.irreducible \
+            else enumerate_pops(weight)
         counted = sum(1 for _ in stream)
         if counted != value:
             print(f"mismatch: formula {value}, enumeration {counted}",
@@ -123,20 +99,20 @@ def cmd_dim(args, parser) -> int:
 
 
 def cmd_count(args, parser) -> int:
-    cfg = _config(args, parser)
+    weight = _resolve_weight(args, parser)
     counts = {
-        "patterns": sum(1 for _ in enumerate_patterns(cfg.weight)),
-        "pops": sum(1 for _ in enumerate_pops(cfg.weight)),
+        "patterns": sum(1 for _ in enumerate_patterns(weight)),
+        "pops": sum(1 for _ in enumerate_pops(weight)),
     }
     if args.restricted:
-        eta = cfg.weight.lam
+        eta = weight.lam
         counts["restricted_patterns"] = sum(
             1 for _ in enumerate_restricted_patterns(eta))
         counts["restricted_pops"] = sum(
             1 for _ in enumerate_restricted_pops(eta))
         counts["restricted_pop_formula"] = restricted_pop_count_formula(eta)
-    counts["pop_formula"] = pop_count_formula(cfg.weight)
-    if cfg.fmt == "json":
+    counts["pop_formula"] = pop_count_formula(weight)
+    if args.format == "json":
         print(json.dumps(counts, sort_keys=True))
     else:
         for name in sorted(counts):
@@ -158,12 +134,12 @@ def _pattern_text(p) -> str:
 
 
 def cmd_patterns(args, parser) -> int:
-    cfg = _config(args, parser)
+    weight = _resolve_weight(args, parser)
     if args.restricted:
-        items = enumerate_restricted_patterns(cfg.weight.lam)
+        items = enumerate_restricted_patterns(weight.lam)
     else:
-        items = enumerate_patterns(cfg.weight)
-    _print_stream(items, pattern_to_json, _pattern_text, cfg.fmt)
+        items = enumerate_patterns(weight)
+    _print_stream(items, pattern_to_json, _pattern_text, args.format)
     return 0
 
 
@@ -177,34 +153,34 @@ def _pop_text(p) -> str:
 
 
 def cmd_pops(args, parser) -> int:
-    cfg = _config(args, parser)
+    weight = _resolve_weight(args, parser)
     if args.restricted:
-        items = enumerate_restricted_pops(cfg.weight.lam)
+        items = enumerate_restricted_pops(weight.lam)
     else:
-        items = enumerate_pops(cfg.weight)
-    _print_stream(items, pop_to_json, _pop_text, cfg.fmt)
+        items = enumerate_pops(weight)
+    _print_stream(items, pop_to_json, _pop_text, args.format)
     return 0
 
 
 def cmd_monomials(args, parser) -> int:
-    cfg = _config(args, parser)
-    words = (pop_monomial(p) for p in enumerate_pops(cfg.weight))
-    _print_stream(words, monomial_to_json, lambda w: w.text(), cfg.fmt)
+    weight = _resolve_weight(args, parser)
+    words = (pop_monomial(p) for p in enumerate_pops(weight))
+    _print_stream(words, monomial_to_json, lambda w: w.text(), args.format)
     return 0
 
 
-def _character_with_cache(cfg: RunConfig, method: str):
-    compute = character_direct if method == "direct" else character_fermionic
-    if cfg.cache_dir is None:
-        return compute(cfg.weight)
-    cached = cache_mod.cache_lookup(
-        cfg.cache_dir, cfg.weight.rank, cfg.weight.lam, method)
+def _character_with_cache(args, weight: DominantWeight):
+    compute = character_direct if args.method == "direct" else character_fermionic
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
+    if cache_dir is None:
+        return compute(weight)
+    cached = cache_mod.cache_lookup(cache_dir, weight.rank, weight.lam, args.method)
     if cached is not None:
-        if cfg.verbose:
-            print(f"cache hit: {method} {cfg.weight.lam}", file=sys.stderr)
+        if args.verbose:
+            print(f"cache hit: {args.method} {weight.lam}", file=sys.stderr)
         return cached
-    ch = compute(cfg.weight)
-    cache_mod.cache_store(cfg.cache_dir, cfg.weight.rank, cfg.weight.lam, method, ch)
+    ch = compute(weight)
+    cache_mod.cache_store(cache_dir, weight.rank, weight.lam, args.method, ch)
     return ch
 
 
@@ -219,28 +195,27 @@ def _render_character(ch, fmt: str) -> str:
 
 
 def cmd_char(args, parser) -> int:
-    cfg = _config(args, parser)
-    if cfg.method == "both":
-        direct = _character_with_cache(cfg, "direct")
-        fermionic = _character_with_cache(cfg, "fermionic")
-        if direct != fermionic:
+    weight = _resolve_weight(args, parser)
+    if args.method == "both":
+        # A cross-check compares fresh computations, never cached blobs.
+        ch = character_direct(weight)
+        if ch != character_fermionic(weight):
             print("character mismatch between direct and fermionic methods",
                   file=sys.stderr)
             return 1
-        ch = direct
     else:
-        ch = _character_with_cache(cfg, cfg.method)
-    print(_render_character(ch, cfg.fmt))
+        ch = _character_with_cache(args, weight)
+    print(_render_character(ch, args.format))
     return 0
 
 
 def cmd_branch(args, parser) -> int:
-    cfg = _config(args, parser)
+    weight = _resolve_weight(args, parser)
     if args.kind == "filtration":
-        if cfg.weight.rank < 2:
+        if weight.rank < 2:
             parser.error("--kind filtration needs rank at least 2")
-        for term in weyl_filtration(cfg.weight):
-            if cfg.fmt == "json":
+        for term in weyl_filtration(weight):
+            if args.format == "json":
                 print(json.dumps({
                     "ell": list(term.ell), "ellp": list(term.ellp),
                     "mult": term.mult, "target": list(term.target),
@@ -249,11 +224,11 @@ def cmd_branch(args, parser) -> int:
                 print(f"ell={list(term.ell)} ellp={list(term.ellp)} "
                       f"mult={term.mult} target={list(term.target)}")
     elif args.kind == "shtepin-v":
-        for eta in shtepin_branch_v(cfg.weight):
-            print(json.dumps(list(eta)) if cfg.fmt == "json" else str(list(eta)))
+        for eta in shtepin_branch_v(weight):
+            print(json.dumps(list(eta)) if args.format == "json" else str(list(eta)))
     else:  # shtepin-l
-        for nu in shtepin_branch_l(cfg.weight.lam):
-            print(json.dumps(list(nu)) if cfg.fmt == "json" else str(list(nu)))
+        for nu in shtepin_branch_l(weight.lam):
+            print(json.dumps(list(nu)) if args.format == "json" else str(list(nu)))
     return 0
 
 
@@ -262,6 +237,10 @@ def cmd_verify(args, parser) -> int:
         parser.error("verify needs --rank (with --max-total) or a weight")
     if args.omegas is not None or args.lambdas is not None:
         weights = [_resolve_weight(args, parser)]
+    elif args.rank < 1:
+        parser.error(f"--rank must be a positive integer, got {args.rank}")
+    elif args.max_total < 0:
+        parser.error(f"--max-total must be non-negative, got {args.max_total}")
     else:
         weights = list(sweep_dominant_weights(args.rank, args.max_total))
     reports = [verify_identities(w) for w in weights]

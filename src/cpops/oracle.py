@@ -11,22 +11,9 @@ group at the end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .rootsys import DominantWeight, inner, positive_roots
-
-
-@dataclass
-class CharacterTable:
-    """Weight -> multiplicity map of one irreducible module, closed under
-    signed permutations of the epsilon-coordinates."""
-
-    rank: int
-    mults: dict
-
-    def total(self) -> int:
-        return sum(self.mults.values())
 
 
 def _rho(rank: int) -> tuple:
@@ -111,10 +98,11 @@ def dominant_weights_below(lam: DominantWeight) -> list:
     return [mu for _, _, mu in found]
 
 
-def freudenthal_character(lam: DominantWeight) -> CharacterTable:
-    """Multiplicities of all weights of the irreducible module of highest
-    weight ``lam`` by Freudenthal's recursion, seeded with multiplicity 1 at
-    the top; the total equals :func:`weyl_dim`."""
+def freudenthal_character(lam: DominantWeight) -> dict:
+    """Weight -> multiplicity map of the irreducible module of highest
+    weight ``lam``, closed under signed permutations of the
+    epsilon-coordinates. Computed by Freudenthal's recursion, seeded with
+    multiplicity 1 at the top; the total equals :func:`weyl_dim`."""
     r = lam.rank
     top = lam.eps
     rho = _rho(r)
@@ -154,4 +142,4 @@ def freudenthal_character(lam: DominantWeight) -> CharacterTable:
     for mu, m in mults.items():
         for w in signed_orbit(mu):
             table[w] = m
-    return CharacterTable(r, table)
+    return table

@@ -5,7 +5,9 @@ lam^r where row j has length j. Row lam^j dominates eta^j entrywise with the
 shifted tail condition lam^j_{j+1} = 0, and eta^{j+1} dominates lam^j the same
 way, so every entry is a non-negative integer. The final row lam^r is the
 bounding sequence. A restricted pattern is the same stack with the final lam^r
-row removed, bounded by its eta^r row instead.
+row removed, bounded by its eta^r row instead: the same object one half-step
+down, so both kinds share one record and the lambda-row count (r or r-1)
+tells them apart.
 
 Enumeration is depth-first from the bounding row upward. Each new row is
 constrained entrywise by the adjacent known row only, so the candidate values
@@ -16,35 +18,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
-from .rootsys import DominantWeight, WeightVector
+from .rootsys import DominantWeight, WeightVector, lambda_tuple
 
 
 @dataclass(frozen=True)
 class PatternC:
-    """Full pattern: r eta-rows and r lambda-rows, row j of length j."""
+    """Pattern of rank r: r eta-rows and r lambda-rows (full) or r-1
+    lambda-rows (restricted), row j of length j."""
 
     rank: int
     eta_rows: tuple
     lambda_rows: tuple
 
     @property
-    def bounding(self) -> tuple:
-        return self.lambda_rows[-1]
-
-
-@dataclass(frozen=True)
-class RestrictedPattern:
-    """Pattern with the final lambda-row removed; bounded by eta^r."""
-
-    rank: int
-    eta_rows: tuple
-    lambda_rows: tuple
+    def restricted(self) -> bool:
+        return len(self.lambda_rows) == self.rank - 1
 
     @property
     def bounding(self) -> tuple:
-        return self.eta_rows[-1]
+        return (self.eta_rows if self.restricted else self.lambda_rows)[-1]
 
 
 @dataclass(frozen=True)
@@ -62,19 +56,7 @@ class DiffArray:
     unbarred: dict
 
 
-AnyPattern = Union[PatternC, RestrictedPattern]
-
-
-def _check_decreasing(seq: Sequence[int]) -> tuple:
-    seq = tuple(int(x) for x in seq)
-    if any(x < 0 for x in seq):
-        raise ValueError(f"bounding sequence must be non-negative: {seq}")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-        raise ValueError(f"bounding sequence must be weakly decreasing: {seq}")
-    return seq
-
-
-def validate_pattern(p: AnyPattern) -> list:
+def validate_pattern(p: PatternC) -> list:
     """Return a list of violated constraints, empty when the pattern is valid.
 
     Row-shape problems are reported on their own; interlacing inequalities are
@@ -82,9 +64,8 @@ def validate_pattern(p: AnyPattern) -> list:
     row kind and the (j, i) position.
     """
     problems = []
-    restricted = isinstance(p, RestrictedPattern)
     r = p.rank
-    n_lambda = r - 1 if restricted else r
+    n_lambda = r - 1 if p.restricted else r
     if len(p.eta_rows) != r:
         problems.append(f"expected {r} eta rows, got {len(p.eta_rows)}")
     if len(p.lambda_rows) != n_lambda:
@@ -133,29 +114,21 @@ def validate_pattern(p: AnyPattern) -> list:
     return problems
 
 
-def _rows_within(lam_row: tuple) -> Iterator[tuple]:
-    # eta rows below lam_row: lam_i >= eta_i >= lam_{i+1}, with lam tail 0.
-    n = len(lam_row)
-    ranges = [
-        range(lam_row[i + 1] if i + 1 < n else 0, lam_row[i] + 1) for i in range(n)
-    ]
-    return itertools.product(*ranges)
-
-
-def _rows_between(upper_row: tuple) -> Iterator[tuple]:
-    # one-shorter rows interlacing upper_row: upper_i >= w_i >= upper_{i+1}.
-    n = len(upper_row)
-    ranges = [range(upper_row[i + 1], upper_row[i] + 1) for i in range(n - 1)]
-    return itertools.product(*ranges)
+def interlacing_rows(upper: tuple) -> Iterator[tuple]:
+    """Rows one shorter than ``upper`` interlacing it, upper_i >= w_i >=
+    upper_{i+1}, in lexicographic order. The eta rows under a lambda row
+    lam are ``interlacing_rows(lam + (0,))``."""
+    return itertools.product(
+        *[range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)])
 
 
 def _pattern_rows(j: int, lam_j: tuple) -> Iterator[tuple]:
     # All (eta_rows, lambda_rows) of a rank-j pattern bounded by lam_j.
-    for eta_j in _rows_within(lam_j):
+    for eta_j in interlacing_rows(lam_j + (0,)):
         if j == 1:
             yield (eta_j,), (lam_j,)
         else:
-            for lam_prev in _rows_between(eta_j):
+            for lam_prev in interlacing_rows(eta_j):
                 for etas, lams in _pattern_rows(j - 1, lam_prev):
                     yield etas + (eta_j,), lams + (lam_j,)
 
@@ -163,7 +136,7 @@ def _pattern_rows(j: int, lam_j: tuple) -> Iterator[tuple]:
 def _as_lambda_tuple(bounding) -> tuple:
     if isinstance(bounding, DominantWeight):
         return bounding.lam
-    return _check_decreasing(bounding)
+    return lambda_tuple(bounding)
 
 
 def enumerate_patterns(bounding) -> Iterator[PatternC]:
@@ -179,25 +152,24 @@ def enumerate_patterns(bounding) -> Iterator[PatternC]:
         yield PatternC(r, etas, lams)
 
 
-def enumerate_restricted_patterns(bounding) -> Iterator[RestrictedPattern]:
+def enumerate_restricted_patterns(bounding) -> Iterator[PatternC]:
     """All restricted patterns bounded by the weakly decreasing ``bounding``."""
     eta_r = _as_lambda_tuple(bounding)
     r = len(eta_r)
     if r == 1:
-        yield RestrictedPattern(1, (eta_r,), ())
+        yield PatternC(1, (eta_r,), ())
         return
-    for lam_prev in _rows_between(eta_r):
+    for lam_prev in interlacing_rows(eta_r):
         for etas, lams in _pattern_rows(r - 1, lam_prev):
-            yield RestrictedPattern(r, etas + (eta_r,), lams)
+            yield PatternC(r, etas + (eta_r,), lams)
 
 
-def differences(p: AnyPattern) -> DiffArray:
+def differences(p: PatternC) -> DiffArray:
     """Gap array of a valid pattern; all entries are non-negative."""
     r = p.rank
     barred = {}
     unbarred = {}
-    barred_top = r - 1 if isinstance(p, RestrictedPattern) else r
-    for j in range(1, barred_top + 1):
+    for j in range(1, len(p.lambda_rows) + 1):
         lam_j = p.lambda_rows[j - 1]
         eta_j = p.eta_rows[j - 1]
         for i in range(1, j + 1):
@@ -217,7 +189,7 @@ def differences(p: AnyPattern) -> DiffArray:
 def reconstruct_pattern(bounding: Sequence[int], diffs: DiffArray) -> PatternC:
     """Rebuild the unique pattern with the given bounding row whose gap array
     has the prescribed first components; inverse of :func:`differences`."""
-    lam = _check_decreasing(bounding)
+    lam = lambda_tuple(bounding)
     r = len(lam)
     lambda_rows = [None] * r
     eta_rows = [None] * r
@@ -245,7 +217,7 @@ def pattern_weight(p: PatternC) -> WeightVector:
     return tuple(coords)
 
 
-def pattern_to_json(p: AnyPattern) -> dict:
+def pattern_to_json(p: PatternC) -> dict:
     """JSON shape {"rank", "eta", "lambda"} with rows ordered j = 1..r."""
     return {
         "rank": p.rank,
@@ -254,13 +226,11 @@ def pattern_to_json(p: AnyPattern) -> dict:
     }
 
 
-def pattern_from_json(obj: dict) -> AnyPattern:
+def pattern_from_json(obj: dict) -> PatternC:
     """Inverse of :func:`pattern_to_json`; the row counts decide the kind."""
     rank = int(obj["rank"])
     etas = tuple(tuple(int(x) for x in row) for row in obj["eta"])
     lams = tuple(tuple(int(x) for x in row) for row in obj["lambda"])
-    if len(lams) == rank:
+    if len(lams) == rank or (len(lams) == rank - 1 and len(etas) == rank):
         return PatternC(rank, etas, lams)
-    if len(lams) == rank - 1 and len(etas) == rank:
-        return RestrictedPattern(rank, etas, lams)
     raise ValueError(f"row counts {len(etas)}/{len(lams)} invalid for rank {rank}")

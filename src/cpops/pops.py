@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 
 from .patterns import (
     PatternC,
-    RestrictedPattern,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -29,7 +28,13 @@ from .patterns import (
     pattern_to_json,
     pattern_weight,
 )
-from .rootsys import DominantWeight, RootLabel, WeightVector, root_vector
+from .rootsys import (
+    DominantWeight,
+    RootLabel,
+    WeightVector,
+    lambda_to_omegas,
+    root_vector,
+)
 
 # A partition: weakly increasing tuple of non-negative integers.
 Partition = tuple
@@ -68,18 +73,10 @@ def enumerate_f(m: int) -> Iterator[FPair]:
 
 @dataclass(frozen=True)
 class Pop:
-    """Pattern plus one box-fitting partition per gap position."""
+    """Pattern plus one box-fitting partition per gap position; a restricted
+    pattern has no positions at the top level."""
 
     pattern: PatternC
-    barred_overlays: dict
-    unbarred_overlays: dict
-
-
-@dataclass(frozen=True)
-class RestrictedPop:
-    """Restricted pattern with overlays on positions below the top level."""
-
-    pattern: RestrictedPattern
     barred_overlays: dict
     unbarred_overlays: dict
 
@@ -114,9 +111,9 @@ def overlay_positions(rank: int, *, restricted: bool = False) -> list:
     return pos
 
 
-def _overlays_for(pattern, restricted: bool):
+def _overlays_for(pattern: PatternC) -> Iterator[Pop]:
     diff = differences(pattern)
-    positions = overlay_positions(pattern.rank, restricted=restricted)
+    positions = overlay_positions(pattern.rank, restricted=pattern.restricted)
     choices = []
     for i, j, barred in positions:
         ell, ellp = diff.barred[(i, j)] if barred else diff.unbarred[(i, j)]
@@ -126,67 +123,55 @@ def _overlays_for(pattern, restricted: bool):
         unbarred_overlays = {}
         for (i, j, barred), parts in zip(positions, combo):
             (barred_overlays if barred else unbarred_overlays)[(i, j)] = parts
-        yield barred_overlays, unbarred_overlays
+        yield Pop(pattern, barred_overlays, unbarred_overlays)
 
 
 def enumerate_pops(bounding) -> Iterator[Pop]:
     """All overlaid patterns with the given bounding sequence: the pattern
     stream crossed with every choice of box-fitting partitions."""
     for pattern in enumerate_patterns(bounding):
-        for barred_overlays, unbarred_overlays in _overlays_for(pattern, False):
-            yield Pop(pattern, barred_overlays, unbarred_overlays)
+        yield from _overlays_for(pattern)
 
 
-def enumerate_restricted_pops(bounding) -> Iterator[RestrictedPop]:
+def enumerate_restricted_pops(bounding) -> Iterator[Pop]:
     """Overlaid restricted patterns bounded by the weakly decreasing input."""
     for pattern in enumerate_restricted_patterns(bounding):
-        for barred_overlays, unbarred_overlays in _overlays_for(pattern, True):
-            yield RestrictedPop(pattern, barred_overlays, unbarred_overlays)
+        yield from _overlays_for(pattern)
 
 
 def _comb0(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
+def _count_product(n: int, omegas: Sequence[int]) -> int:
+    # Product over i of (comb(n, i) - comb(n, i-2)) ** omegas_i.
+    out = 1
+    for i, m in enumerate(omegas, start=1):
+        out *= (_comb0(n, i) - _comb0(n, i - 2)) ** m
+    return out
+
+
 def pop_count_formula(lam: DominantWeight) -> int:
     """Product over i of (comb(2r, i) - comb(2r, i-2)) ** m_i."""
-    r = lam.rank
-    out = 1
-    for i, m in enumerate(lam.omegas, start=1):
-        out *= (_comb0(2 * r, i) - _comb0(2 * r, i - 2)) ** m
-    return out
+    return _count_product(2 * lam.rank, lam.omegas)
 
 
 def restricted_pop_count_formula(eta: Sequence[int]) -> int:
     """Product over i of (comb(2r-1, i) - comb(2r-1, i-2)) ** n_i with
     n_i = eta_i - eta_{i+1} and eta_{r+1} = 0."""
-    eta = tuple(int(x) for x in eta)
-    if any(x < 0 for x in eta):
-        raise ValueError(f"bounding sequence must be non-negative: {eta}")
-    if any(eta[i] < eta[i + 1] for i in range(len(eta) - 1)):
-        raise ValueError(f"bounding sequence must be weakly decreasing: {eta}")
-    r = len(eta)
-    out = 1
-    for i in range(1, r + 1):
-        n_i = eta[i - 1] - (eta[i] if i < r else 0)
-        out *= (_comb0(2 * r - 1, i) - _comb0(2 * r - 1, i - 2)) ** n_i
-    return out
+    n = lambda_to_omegas(eta)
+    return _count_product(2 * len(n) - 1, n)
 
 
 def pop_weight(p: Pop) -> WeightVector:
     """Weight of an overlaid pattern: the weight of its underlying pattern.
-
-    Cross-checked in debug builds against the bounding weight minus the
-    gap-weighted sum of positive roots; the two must always agree.
-    """
-    w = pattern_weight(p.pattern)
-    assert w == _weight_by_roots(p.pattern), (
-        f"weight formulas disagree on {p.pattern}: {w} vs {_weight_by_roots(p.pattern)}"
-    )
-    return w
+    ``verify_identities`` checks that formula against the root expansion."""
+    return pattern_weight(p.pattern)
 
 
 def _weight_by_roots(pattern: PatternC) -> WeightVector:
+    # Bounding weight minus the gap-weighted sum of positive roots; must
+    # equal pattern_weight(pattern).
     r = pattern.rank
     diff = differences(pattern)
     acc = list(pattern.bounding)
@@ -220,10 +205,9 @@ def pop_monomial(p: Pop) -> PbwMonomial:
     return PbwMonomial(tuple(factors))
 
 
-def pop_to_json(p) -> dict:
+def pop_to_json(p: Pop) -> dict:
     """Pattern JSON extended with an "overlays" list in block order."""
     obj = pattern_to_json(p.pattern)
-    restricted = isinstance(p, RestrictedPop)
     obj["overlays"] = [
         {
             "i": i,
@@ -231,12 +215,13 @@ def pop_to_json(p) -> dict:
             "barred": barred,
             "parts": list((p.barred_overlays if barred else p.unbarred_overlays)[(i, j)]),
         }
-        for i, j, barred in overlay_positions(p.pattern.rank, restricted=restricted)
+        for i, j, barred in overlay_positions(p.pattern.rank,
+                                              restricted=p.pattern.restricted)
     ]
     return obj
 
 
-def pop_from_json(obj: dict):
+def pop_from_json(obj: dict) -> Pop:
     """Inverse of :func:`pop_to_json`."""
     pattern = pattern_from_json(
         {"rank": obj["rank"], "eta": obj["eta"], "lambda": obj["lambda"]}
@@ -247,8 +232,6 @@ def pop_from_json(obj: dict):
         key = (int(entry["i"]), int(entry["j"]))
         parts = tuple(int(x) for x in entry["parts"])
         (barred_overlays if entry["barred"] else unbarred_overlays)[key] = parts
-    if isinstance(pattern, RestrictedPattern):
-        return RestrictedPop(pattern, barred_overlays, unbarred_overlays)
     return Pop(pattern, barred_overlays, unbarred_overlays)
 
 

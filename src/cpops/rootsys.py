@@ -27,19 +27,24 @@ def omegas_to_lambda(m: Sequence[int]) -> WeightVector:
     return tuple(reversed(out))
 
 
+def lambda_tuple(seq: Sequence[int]) -> tuple:
+    """``seq`` as a tuple of ints, checked to be a lambda tuple: non-empty,
+    weakly decreasing and non-negative. Every bounding row is one."""
+    seq = tuple(int(x) for x in seq)
+    if not seq or seq[-1] < 0 or any(a < b for a, b in zip(seq, seq[1:])):
+        raise ValueError(f"lambda tuple must be non-empty, weakly decreasing "
+                         f"and non-negative: {seq}")
+    return seq
+
+
 def lambda_to_omegas(lam: Sequence[int]) -> tuple:
     """Adjacent differences lam_i - lam_{i+1}, taking lam_{r+1} = 0.
 
-    Inverse of :func:`omegas_to_lambda`. Rejects input that is negative or
-    not weakly decreasing.
+    Inverse of :func:`omegas_to_lambda`; rejects what :func:`lambda_tuple`
+    rejects.
     """
-    lam = tuple(lam)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"lambda tuple must be non-negative: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"lambda tuple must be weakly decreasing: {lam}")
-    r = len(lam)
-    return tuple(lam[i] - (lam[i + 1] if i + 1 < r else 0) for i in range(r))
+    lam = lambda_tuple(lam)
+    return tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ def test_shtepin_branch_l_examples():
     assert shtepin_branch_l((1, 1)) == [(1,)]
     with pytest.raises(ValueError):
         shtepin_branch_l((0, 1))
+    with pytest.raises(ValueError):
+        shtepin_branch_l((0, -1))
 
 
 def test_branch_cardinalities():

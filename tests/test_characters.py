@@ -19,7 +19,6 @@ from cpops.characters import (
     restrict_drop_last,
     specialize_q1,
     total_dim,
-    zeroth_piece,
 )
 from cpops.oracle import signed_orbit
 from cpops.pops import enumerate_pops, pop_boxes, pop_weight
@@ -158,12 +157,11 @@ def test_binomial_tops_equal_gap_sums_pointwise():
 
 def test_zeroth_piece_examples():
     ch = character_direct(DominantWeight.from_omegas((2,)))
-    zp = zeroth_piece(ch)
-    assert zp.terms == {(0, (2,)): 1, (0, (0,)): 1, (0, (-2,)): 1}
+    assert ch.grade_slice(0) == {(2,): 1, (0,): 1, (-2,): 1}
     tiny = GradedCharacter(2, {(0, (0, 0)): 1})
-    assert zeroth_piece(tiny) == tiny
+    assert tiny.grade_slice(0) == {(0, 0): 1}
     w1 = character_direct(DominantWeight.from_omegas((1, 0)))
-    assert zeroth_piece(w1) == w1
+    assert w1.grades() == {0}
 
 
 def test_specialize_and_total_dim():

@@ -4,7 +4,7 @@ import pytest
 
 from cpops import cli
 from cpops.cache import cache_lookup, cache_store
-from cpops.characters import character_direct
+from cpops.characters import GradedCharacter, character_direct, character_to_json
 from cpops.patterns import enumerate_patterns, pattern_from_json
 from cpops.pops import enumerate_pops, pop_from_json
 from cpops.rootsys import DominantWeight
@@ -144,6 +144,20 @@ def test_usage_error_bad_weight(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "0", "--max-total", "1"],
+    ["verify", "--rank", "-1"],
+    ["verify", "--rank", "2", "--max-total", "-1"],
+])
+def test_usage_error_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_cache_round_trip(tmp_path):
     w = DominantWeight.from_omegas((2,))
     ch = character_direct(w)
@@ -186,3 +200,14 @@ def test_char_cached_output_is_byte_identical(tmp_path, capsys):
     code, second, err2 = run_cli(capsys, *args)
     assert code == 0 and "cache hit" in err2
     assert first == second
+
+
+def test_char_both_never_reads_cache(tmp_path, capsys):
+    w = DominantWeight.from_omegas((2,))
+    wrong = GradedCharacter(1, {(0, (0,)): 7})
+    for method in ("direct", "fermionic"):
+        cache_store(str(tmp_path), w.rank, w.lam, method, wrong)
+    code, out, _ = run_cli(capsys, "char", "--omegas", "2", "--method", "both",
+                           "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out) == character_to_json(character_direct(w))

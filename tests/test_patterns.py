@@ -3,7 +3,6 @@ import pytest
 from cpops.oracle import weyl_dim
 from cpops.patterns import (
     PatternC,
-    RestrictedPattern,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -89,12 +88,18 @@ def test_restricted_counts():
 
 def test_restricted_rank1_is_single_row():
     pats = list(enumerate_restricted_patterns((3,)))
-    assert pats == [RestrictedPattern(1, ((3,),), ())]
+    assert pats == [PatternC(1, ((3,),), ())]
 
 
 def test_restricted_rejects_bad_bounding():
     with pytest.raises(ValueError):
         list(enumerate_restricted_patterns((0, 1)))
+    with pytest.raises(ValueError):
+        list(enumerate_patterns(()))
+    with pytest.raises(ValueError):
+        list(enumerate_restricted_patterns(()))
+    with pytest.raises(ValueError):
+        reconstruct_pattern((), differences(zero_pattern(1)))
 
 
 def test_differences_highest_pattern_all_ell_zero():

@@ -33,6 +33,8 @@ def test_lambda_to_omegas_rejects_bad_input():
         lambda_to_omegas((1, 2))
     with pytest.raises(ValueError):
         lambda_to_omegas((2, -1))
+    with pytest.raises(ValueError):
+        lambda_to_omegas(())
 
 
 def test_round_trip_all_small():
