@@ -175,9 +175,9 @@ def _refinement_by_top_block(top: tuple, restricted: bool) -> tuple:
     for pop in pops(top):
         p = pop.pattern
         below = (p.lambda_rows if restricted else p.eta_rows)[-1]
-        block = pop.unbarred_overlays if restricted else pop.barred_overlays
         ells = tuple(a - b for a, b in zip(top, below))
-        groups[(ells, tuple(block[(i, k)] for i in range(1, k + 1)))] += 1
+        # The block just under the top row is the last k positions.
+        groups[(ells, pop.overlays[len(pop.overlays) - k:])] += 1
     expected = {}
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
         ells = tuple(ell for ell, _ in combo)
@@ -214,13 +214,14 @@ def verify_identities(lam: DominantWeight) -> Report:
         "pattern-count-vs-weyl-dim",
         "ok" if n_patterns == dim_v else "fail", n_patterns, dim_v))
 
-    n_pops = sum(1 for _ in enumerate_pops(lam))
+    # Every enumerated overlaid pattern adds 1 to the direct character.
+    direct = character_direct(lam)
+    n_pops = total_dim(direct)
     formula = pop_count_formula(lam)
     entries.append(CheckResult(
         "pop-count-vs-product-formula",
         "ok" if n_pops == formula else "fail", n_pops, formula))
 
-    direct = character_direct(lam)
     fermionic = character_fermionic(lam)
     if direct == fermionic:
         entries.append(CheckResult(
@@ -259,15 +260,15 @@ def verify_identities(lam: DominantWeight) -> Report:
         entries.append(CheckResult(
             "restricted-refinement-by-top-block", "skipped"))
 
-    total_intermediate = sum(_restricted_pattern_count(eta) for eta in etas)
+    restricted_counts = [_restricted_pattern_count(eta) for eta in etas]
+    total_intermediate = sum(restricted_counts)
     entries.append(CheckResult(
         "irreducible-dim-vs-intermediate-sum",
         "ok" if n_patterns == total_intermediate else "fail",
         n_patterns, total_intermediate))
 
     bad = None
-    for eta in etas:
-        lhs = _restricted_pattern_count(eta)
+    for eta, lhs in zip(etas, restricted_counts):
         rhs = sum(_pattern_count(nu) for nu in shtepin_branch_l(eta))
         if lhs != rhs:
             bad = f"eta={eta}: {lhs} vs {rhs}"

@@ -144,11 +144,8 @@ def cmd_patterns(args, parser) -> int:
 
 
 def _pop_text(p) -> str:
-    overlays = {}
-    for (i, j), parts in sorted(p.barred_overlays.items()):
-        overlays[f"({i},{j}~)"] = list(parts)
-    for (i, j), parts in sorted(p.unbarred_overlays.items()):
-        overlays[f"({i},{j})"] = list(parts)
+    overlays = {f"({i},{j}{'~' if barred else ''})": list(parts)
+                for (i, j, barred), parts in zip(p.pattern.positions, p.overlays)}
     return _pattern_text(p.pattern) + f" overlays={json.dumps(overlays, sort_keys=True)}"
 
 
@@ -180,7 +177,11 @@ def _character_with_cache(args, weight: DominantWeight):
             print(f"cache hit: {args.method} {weight.lam}", file=sys.stderr)
         return cached
     ch = compute(weight)
-    cache_mod.cache_store(cache_dir, weight.rank, weight.lam, args.method, ch)
+    try:
+        cache_mod.cache_store(cache_dir, weight.rank, weight.lam, args.method, ch)
+    except OSError as exc:
+        print(f"warning: cache entry not stored: {cache_dir} ({exc})",
+              file=sys.stderr)
     return ch
 
 

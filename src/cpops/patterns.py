@@ -9,6 +9,11 @@ row removed, bounded by its eta^r row instead: the same object one half-step
 down, so both kinds share one record and the lambda-row count (r or r-1)
 tells them apart.
 
+The gaps between adjacent rows sit at overlay positions (i, j, barred), kept
+in one fixed word-block order (:func:`overlay_positions`): for each level
+j < r the barred block then the unbarred block, then for full patterns the
+barred block at level r.
+
 Enumeration is depth-first from the bounding row upward. Each new row is
 constrained entrywise by the adjacent known row only, so the candidate values
 per position form independent ranges and generation never backtracks.
@@ -16,6 +21,7 @@ per position form independent ranges and generation never backtracks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -40,20 +46,24 @@ class PatternC:
     def bounding(self) -> tuple:
         return (self.eta_rows if self.restricted else self.lambda_rows)[-1]
 
+    @property
+    def positions(self) -> tuple:
+        """Gap positions (i, j, barred) in word-block order."""
+        return overlay_positions(self.rank, restricted=self.restricted)
 
-@dataclass(frozen=True)
-class DiffArray:
-    """Entrywise gaps of a pattern.
 
-    ``barred[(i, j)] = (l, lp)`` with l = lam^j_i - eta^j_i and
-    lp = eta^j_i - lam^j_{i+1}; ``unbarred[(i, j)] = (l, lp)`` with
-    l = eta^{j+1}_i - lam^j_i and lp = lam^j_i - eta^{j+1}_{i+1}.
-    Restricted patterns only carry positions with j < rank.
-    """
-
-    rank: int
-    barred: dict
-    unbarred: dict
+@functools.cache
+def overlay_positions(rank: int, *, restricted: bool = False) -> tuple:
+    """Overlay positions (i, j, barred) in word-block order: for each level
+    j < rank the barred block then the unbarred block, then for full patterns
+    the barred block at level rank."""
+    pos = []
+    for j in range(1, rank):
+        pos.extend((i, j, True) for i in range(1, j + 1))
+        pos.extend((i, j, False) for i in range(1, j + 1))
+    if not restricted:
+        pos.extend((i, rank, True) for i in range(1, rank + 1))
+    return tuple(pos)
 
 
 def validate_pattern(p: PatternC) -> list:
@@ -164,31 +174,27 @@ def enumerate_restricted_patterns(bounding) -> Iterator[PatternC]:
             yield PatternC(r, etas + (eta_r,), lams)
 
 
-def differences(p: PatternC) -> DiffArray:
-    """Gap array of a valid pattern; all entries are non-negative."""
-    r = p.rank
-    barred = {}
-    unbarred = {}
-    for j in range(1, len(p.lambda_rows) + 1):
-        lam_j = p.lambda_rows[j - 1]
-        eta_j = p.eta_rows[j - 1]
-        for i in range(1, j + 1):
-            tail = lam_j[i] if i < j else 0
-            barred[(i, j)] = (lam_j[i - 1] - eta_j[i - 1], eta_j[i - 1] - tail)
-    for j in range(1, r):
-        lam_j = p.lambda_rows[j - 1]
-        eta_next = p.eta_rows[j]
-        for i in range(1, j + 1):
-            unbarred[(i, j)] = (
-                eta_next[i - 1] - lam_j[i - 1],
-                lam_j[i - 1] - eta_next[i],
-            )
-    return DiffArray(r, barred, unbarred)
+def differences(p: PatternC) -> dict:
+    """Gaps of a valid pattern, (i, j, barred) -> (l, lp) in the order of
+    ``p.positions``; all entries are non-negative. A position's gaps are
+    l = upper_i - lower_i and lp = lower_i - upper_{i+1} (upper_{j+1} = 0),
+    where upper/lower is lam^j/eta^j when barred and eta^{j+1}/lam^j when not.
+    """
+    gaps = {}
+    for pos in p.positions:
+        i, j, barred = pos
+        if barred:
+            upper, lower = p.lambda_rows[j - 1], p.eta_rows[j - 1]
+        else:
+            upper, lower = p.eta_rows[j], p.lambda_rows[j - 1]
+        tail = upper[i] if i < len(upper) else 0
+        gaps[pos] = (upper[i - 1] - lower[i - 1], lower[i - 1] - tail)
+    return gaps
 
 
-def reconstruct_pattern(bounding: Sequence[int], diffs: DiffArray) -> PatternC:
-    """Rebuild the unique pattern with the given bounding row whose gap array
-    has the prescribed first components; inverse of :func:`differences`."""
+def reconstruct_pattern(bounding: Sequence[int], gaps: dict) -> PatternC:
+    """Rebuild the unique pattern with the given bounding row whose gaps have
+    the prescribed first components; inverse of :func:`differences`."""
     lam = lambda_tuple(bounding)
     r = len(lam)
     lambda_rows = [None] * r
@@ -196,11 +202,11 @@ def reconstruct_pattern(bounding: Sequence[int], diffs: DiffArray) -> PatternC:
     lambda_rows[r - 1] = lam
     for j in range(r, 0, -1):
         lam_j = lambda_rows[j - 1]
-        eta_j = tuple(lam_j[i - 1] - diffs.barred[(i, j)][0] for i in range(1, j + 1))
+        eta_j = tuple(lam_j[i - 1] - gaps[(i, j, True)][0] for i in range(1, j + 1))
         eta_rows[j - 1] = eta_j
         if j > 1:
             lambda_rows[j - 2] = tuple(
-                eta_j[i - 1] - diffs.unbarred[(i, j - 1)][0] for i in range(1, j)
+                eta_j[i - 1] - gaps[(i, j - 1, False)][0] for i in range(1, j)
             )
     return PatternC(r, tuple(eta_rows), tuple(lambda_rows))
 

@@ -2,14 +2,11 @@
 
 A partition here is a weakly increasing tuple of non-negative integers; it
 fits a box (l, lp) when it has exactly l parts, all at most lp. An overlaid
-pattern decorates every gap position of a pattern with a partition fitting the
-box given by the gap array, and its word lists one lowering generator per
-partition part, graded by that part.
-
-Overlay positions are ordered level by level, barred block before unbarred
-block within each level and the final barred block last, which is exactly the
-factor order of the words. Counts are plain Python integers, so the product
-formulas never overflow.
+pattern is a pattern plus a tuple of partitions, one per gap position in the
+word-block order of :func:`~cpops.patterns.overlay_positions`, each fitting
+the box that the pattern's gaps give there. Its word lists one lowering
+generator per partition part, graded by that part, in the same order.
+Counts are plain Python integers, so the product formulas never overflow.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from .patterns import (
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
+    overlay_positions,  # re-exported as cpops.pops.overlay_positions
     pattern_from_json,
     pattern_to_json,
     pattern_weight,
@@ -73,12 +71,12 @@ def enumerate_f(m: int) -> Iterator[FPair]:
 
 @dataclass(frozen=True)
 class Pop:
-    """Pattern plus one box-fitting partition per gap position; a restricted
-    pattern has no positions at the top level."""
+    """Pattern plus one box-fitting partition per gap position, aligned with
+    ``pattern.positions``; a restricted pattern has no positions at the top
+    level."""
 
     pattern: PatternC
-    barred_overlays: dict
-    unbarred_overlays: dict
+    overlays: tuple
 
 
 @dataclass(frozen=True)
@@ -98,32 +96,10 @@ class PbwMonomial:
         return " ".join(f"x-{label.text()}@t^{t}" for label, t in self.factors)
 
 
-def overlay_positions(rank: int, *, restricted: bool = False) -> list:
-    """Overlay positions (i, j, barred) in word-block order: for each level
-    j < rank the barred block then the unbarred block, then for full patterns
-    the barred block at level rank."""
-    pos = []
-    for j in range(1, rank):
-        pos.extend((i, j, True) for i in range(1, j + 1))
-        pos.extend((i, j, False) for i in range(1, j + 1))
-    if not restricted:
-        pos.extend((i, rank, True) for i in range(1, rank + 1))
-    return pos
-
-
 def _overlays_for(pattern: PatternC) -> Iterator[Pop]:
-    diff = differences(pattern)
-    positions = overlay_positions(pattern.rank, restricted=pattern.restricted)
-    choices = []
-    for i, j, barred in positions:
-        ell, ellp = diff.barred[(i, j)] if barred else diff.unbarred[(i, j)]
-        choices.append(list(partitions_in_box(ell, ellp)))
-    for combo in itertools.product(*choices):
-        barred_overlays = {}
-        unbarred_overlays = {}
-        for (i, j, barred), parts in zip(positions, combo):
-            (barred_overlays if barred else unbarred_overlays)[(i, j)] = parts
-        yield Pop(pattern, barred_overlays, unbarred_overlays)
+    boxes = differences(pattern).values()
+    for combo in itertools.product(*(partitions_in_box(*box) for box in boxes)):
+        yield Pop(pattern, combo)
 
 
 def enumerate_pops(bounding) -> Iterator[Pop]:
@@ -173,14 +149,9 @@ def _weight_by_roots(pattern: PatternC) -> WeightVector:
     # Bounding weight minus the gap-weighted sum of positive roots; must
     # equal pattern_weight(pattern).
     r = pattern.rank
-    diff = differences(pattern)
     acc = list(pattern.bounding)
-    for (i, j), (ell, _) in diff.unbarred.items():
-        vec = root_vector(RootLabel(i, j, False), r)
-        for t in range(r):
-            acc[t] -= ell * vec[t]
-    for (i, j), (ell, _) in diff.barred.items():
-        vec = root_vector(RootLabel(i, j, True), r)
+    for (i, j, barred), (ell, _) in differences(pattern).items():
+        vec = root_vector(RootLabel(i, j, barred), r)
         for t in range(r):
             acc[t] -= ell * vec[t]
     return tuple(acc)
@@ -188,9 +159,7 @@ def _weight_by_roots(pattern: PatternC) -> WeightVector:
 
 def pop_boxes(p) -> int:
     """Total number of boxes over all overlay partitions."""
-    return sum(sum(s) for s in p.barred_overlays.values()) + sum(
-        sum(s) for s in p.unbarred_overlays.values()
-    )
+    return sum(map(sum, p.overlays))
 
 
 def pop_monomial(p: Pop) -> PbwMonomial:
@@ -198,8 +167,7 @@ def pop_monomial(p: Pop) -> PbwMonomial:
     per partition part, the part giving the t-exponent. The total t-degree
     equals the box count of the overlay."""
     factors = []
-    for i, j, barred in overlay_positions(p.pattern.rank):
-        parts = (p.barred_overlays if barred else p.unbarred_overlays)[(i, j)]
+    for (i, j, barred), parts in zip(p.pattern.positions, p.overlays):
         label = RootLabel(i, j, barred)
         factors.extend((label, t) for t in parts)
     return PbwMonomial(tuple(factors))
@@ -209,30 +177,24 @@ def pop_to_json(p: Pop) -> dict:
     """Pattern JSON extended with an "overlays" list in block order."""
     obj = pattern_to_json(p.pattern)
     obj["overlays"] = [
-        {
-            "i": i,
-            "j": j,
-            "barred": barred,
-            "parts": list((p.barred_overlays if barred else p.unbarred_overlays)[(i, j)]),
-        }
-        for i, j, barred in overlay_positions(p.pattern.rank,
-                                              restricted=p.pattern.restricted)
+        {"i": i, "j": j, "barred": barred, "parts": list(parts)}
+        for (i, j, barred), parts in zip(p.pattern.positions, p.overlays)
     ]
     return obj
 
 
 def pop_from_json(obj: dict) -> Pop:
-    """Inverse of :func:`pop_to_json`."""
+    """Inverse of :func:`pop_to_json`. The overlays must name exactly the
+    pattern's positions, in block order; anything else is a ValueError."""
     pattern = pattern_from_json(
         {"rank": obj["rank"], "eta": obj["eta"], "lambda": obj["lambda"]}
     )
-    barred_overlays = {}
-    unbarred_overlays = {}
-    for entry in obj["overlays"]:
-        key = (int(entry["i"]), int(entry["j"]))
-        parts = tuple(int(x) for x in entry["parts"])
-        (barred_overlays if entry["barred"] else unbarred_overlays)[key] = parts
-    return Pop(pattern, barred_overlays, unbarred_overlays)
+    entries = obj["overlays"]
+    named = tuple((int(e["i"]), int(e["j"]), bool(e["barred"])) for e in entries)
+    if named != pattern.positions:
+        raise ValueError(
+            f"overlay positions {named} differ from the pattern's {pattern.positions}")
+    return Pop(pattern, tuple(tuple(int(x) for x in e["parts"]) for e in entries))
 
 
 def monomial_to_json(m: PbwMonomial) -> dict:

@@ -140,7 +140,7 @@ def test_c6_recursions():
                 eta_row = pop.pattern.eta_rows[-1]
                 key = (
                     tuple(a - b for a, b in zip(lam_row, eta_row)),
-                    tuple(pop.barred_overlays[(i, r)] for i in range(1, r + 1)),
+                    pop.overlays[-r:],
                 )
                 groups[key] += 1
             expected = {}
@@ -165,8 +165,7 @@ def test_c6_recursions():
                     lam_row = rpop.pattern.lambda_rows[-1]
                     key = (
                         tuple(eta_row[i] - lam_row[i] for i in range(r - 1)),
-                        tuple(rpop.unbarred_overlays[(i, r - 1)]
-                              for i in range(1, r)),
+                        rpop.overlays[-(r - 1):],
                     )
                     sub_groups[key] += 1
                 sub_expected = {}
@@ -251,11 +250,9 @@ def test_c9_property_suites():
         for w in sweep_dominant_weights(rank, max_total):
             for pop in enumerate_pops(w):
                 expected = list(w.lam)
-                d = differences(pop.pattern)
-                for barred, gaps in ((False, d.unbarred), (True, d.barred)):
-                    for (i, j), (ell, _) in gaps.items():
-                        vec = root_vector(RootLabel(i, j, barred), w.rank)
-                        expected = [a - ell * b for a, b in zip(expected, vec)]
+                for (i, j, barred), (ell, _) in differences(pop.pattern).items():
+                    vec = root_vector(RootLabel(i, j, barred), w.rank)
+                    expected = [a - ell * b for a, b in zip(expected, vec)]
                 assert pop_weight(pop) == tuple(expected), (w, pop)
 
     # JSON round trips

@@ -126,19 +126,18 @@ def test_binomial_tops_equal_gap_sums_pointwise():
             lam = w.lam
             for p in enumerate_patterns(w):
                 d = differences(p)
-                ubar = {key: val[0] for key, val in d.unbarred.items()}
-                bar = {key: val[0] for key, val in d.barred.items()}
-                for (i, j), (ell, ellp) in d.unbarred.items():
-                    top = (
-                        m[i - 1]
-                        + sum(ubar[(i + 1, k)] - ubar[(i, k)]
-                              for k in range(j + 1, r))
-                        + sum(bar[(i + 1, k)] - bar[(i, k)]
-                              for k in range(j + 1, r + 1))
-                    )
-                    assert top == ell + ellp, (w, p, "unbarred", i, j)
-                for (i, j), (ell, ellp) in d.barred.items():
-                    if i == j:
+                ubar = {(i, j): gap[0] for (i, j, b), gap in d.items() if not b}
+                bar = {(i, j): gap[0] for (i, j, b), gap in d.items() if b}
+                for (i, j, barred), (ell, ellp) in d.items():
+                    if not barred:
+                        top = (
+                            m[i - 1]
+                            + sum(ubar[(i + 1, k)] - ubar[(i, k)]
+                                  for k in range(j + 1, r))
+                            + sum(bar[(i + 1, k)] - bar[(i, k)]
+                                  for k in range(j + 1, r + 1))
+                        )
+                    elif i == j:
                         top = (
                             lam[i - 1]
                             - sum(ubar[(i, k)] for k in range(i, r))
@@ -152,7 +151,7 @@ def test_binomial_tops_equal_gap_sums_pointwise():
                             + sum(bar[(i + 1, k)] - bar[(i, k)]
                                   for k in range(j + 1, r + 1))
                         )
-                    assert top == ell + ellp, (w, p, "barred", i, j)
+                    assert top == ell + ellp, (w, p, i, j, barred)
 
 
 def test_zeroth_piece_examples():

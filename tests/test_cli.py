@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,30 @@ def test_char_both_never_reads_cache(tmp_path, capsys):
                            "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0
     assert json.loads(out) == character_to_json(character_direct(w))
+
+
+def test_char_unwritable_cache_dir_warns(tmp_path, capsys):
+    not_a_dir = tmp_path / "entry"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(capsys, "char", "--omegas", "1",
+                             "--cache-dir", str(not_a_dir))
+    assert code == 0
+    assert out == run_cli(capsys, "char", "--omegas", "1")[1]
+    assert len(err.splitlines()) == 1 and err.startswith("warning: ")
+
+
+def test_benchmark_patch_targets_exist(tmp_path):
+    # perfbench/traced.py wraps names that cpops modules import from each
+    # other; a renamed or removed one fails here, not only in a traced run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not present")
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer, [])
+    finally:
+        tracer.unpatch()
+    assert traced.probe_cache([], str(tmp_path))["ok"]

@@ -104,37 +104,36 @@ def test_restricted_rejects_bad_bounding():
 
 def test_differences_highest_pattern_all_ell_zero():
     d = differences(highest_pattern((2, 1)))
-    assert all(ell == 0 for ell, _ in d.barred.values())
-    assert all(ell == 0 for ell, _ in d.unbarred.values())
+    assert all(ell == 0 for ell, _ in d.values())
 
 
 def test_differences_rank1_example():
     p = PatternC(1, ((1,),), ((2,),))
     d = differences(p)
-    assert d.barred[(1, 1)] == (1, 1)
+    assert d[(1, 1, True)] == (1, 1)
 
 
 def test_differences_rank2_example():
     p = PatternC(2, ((0,), (1, 0)), ((0,), (1, 0)))
     d = differences(p)
-    assert d.unbarred[(1, 1)] == (1, 0)
-    assert d.barred[(1, 1)][0] == 0
-    assert d.barred[(1, 2)][0] == 0
-    assert d.barred[(2, 2)][0] == 0
+    assert d[(1, 1, False)] == (1, 0)
+    assert d[(1, 1, True)][0] == 0
+    assert d[(1, 2, True)][0] == 0
+    assert d[(2, 2, True)][0] == 0
 
 
 def test_differences_restricted_has_no_top_level():
     p = next(iter(enumerate_restricted_patterns((1, 0))))
     d = differences(p)
-    assert all(j < 2 for _, j in d.barred)
-    assert all(j < 2 for _, j in d.unbarred)
+    assert all(j < 2 for _, j, _ in d)
 
 
 def test_differences_nonnegative_and_reconstruction():
     for w in sweep_dominant_weights(2, 2):
         for p in enumerate_patterns(w):
             d = differences(p)
-            for ell, ellp in list(d.barred.values()) + list(d.unbarred.values()):
+            assert tuple(d) == p.positions
+            for ell, ellp in d.values():
                 assert ell >= 0 and ellp >= 0
             assert reconstruct_pattern(p.bounding, d) == p
 

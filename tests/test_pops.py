@@ -122,12 +122,8 @@ def test_pop_weight_two_formulas_agree_sweep():
     for w in sweep_dominant_weights(2, 2):
         for pop in enumerate_pops(w):
             expected = list(w.lam)
-            d = differences(pop.pattern)
-            for (i, j), (ell, _) in d.unbarred.items():
-                vec = root_vector(RootLabel(i, j, False), 2)
-                expected = [a - ell * b for a, b in zip(expected, vec)]
-            for (i, j), (ell, _) in d.barred.items():
-                vec = root_vector(RootLabel(i, j, True), 2)
+            for (i, j, barred), (ell, _) in differences(pop.pattern).items():
+                vec = root_vector(RootLabel(i, j, barred), 2)
                 expected = [a - ell * b for a, b in zip(expected, vec)]
             assert pop_weight(pop) == tuple(expected)
             assert pop_weight(pop) == pattern_weight(pop.pattern)
@@ -143,7 +139,7 @@ def test_pop_monomial_substitution_example():
     # rank 1: bounding (2), eta (0), overlay (0, 1) substitutes into a
     # two-factor word with t-exponents 0 and 1
     pattern = PatternC(1, ((0,),), ((2,),))
-    pop = Pop(pattern, {(1, 1): (0, 1)}, {})
+    pop = Pop(pattern, ((0, 1),))
     word = pop_monomial(pop)
     assert word.factors == (
         (RootLabel(1, 1, True), 0),
@@ -157,7 +153,7 @@ def test_pop_monomial_single_unbarred_factor():
     w = DominantWeight.from_lambdas((1, 0))
     for pop in enumerate_pops(w):
         d = differences(pop.pattern)
-        if d.unbarred[(1, 1)][0] == 1:
+        if d[(1, 1, False)][0] == 1:
             word = pop_monomial(pop)
             assert word.factors == ((RootLabel(1, 1, False), 0),)
             return
@@ -174,23 +170,24 @@ def test_empty_monomial_is_identity():
 
 
 def test_monomial_degree_and_injectivity():
-    for w in sweep_dominant_weights(2, 2):
+    streams = [enumerate_pops(w) for w in sweep_dominant_weights(2, 2)]
+    streams += [enumerate_restricted_pops(eta) for eta in ((1, 0), (2, 1), (2, 1, 0))]
+    for stream in streams:
         seen = set()
-        for pop in enumerate_pops(w):
+        for pop in stream:
             word = pop_monomial(pop)
             assert word.t_degree == pop_boxes(pop)
             assert len(word.factors) == sum(
-                d[0] for d in differences(pop.pattern).barred.values()
-            ) + sum(d[0] for d in differences(pop.pattern).unbarred.values())
+                ell for ell, _ in differences(pop.pattern).values())
             assert word not in seen
             seen.add(word)
 
 
 def test_overlay_positions_block_order():
-    assert overlay_positions(2) == [
+    assert overlay_positions(2) == (
         (1, 1, True), (1, 1, False), (1, 2, True), (2, 2, True),
-    ]
-    assert overlay_positions(2, restricted=True) == [(1, 1, True), (1, 1, False)]
+    )
+    assert overlay_positions(2, restricted=True) == ((1, 1, True), (1, 1, False))
 
 
 def test_pop_json_round_trip():
@@ -199,6 +196,18 @@ def test_pop_json_round_trip():
             assert pop_from_json(pop_to_json(pop)) == pop
     for rpop in enumerate_restricted_pops((2, 1)):
         assert pop_from_json(pop_to_json(rpop)) == rpop
+    # the overlays must name exactly the pattern's positions, in block order
+    obj = pop_to_json(next(enumerate_pops(DominantWeight.from_omegas((1, 1)))))
+    entries = obj["overlays"]
+    extra = {"i": 5, "j": 9, "barred": True, "parts": []}
+    for bad in (entries[:-1], entries + [extra], entries + entries[-1:],
+                entries[:-2] + [entries[-1], entries[-2]], entries[:-1] + [extra]):
+        with pytest.raises(ValueError):
+            pop_from_json(dict(obj, overlays=bad))
+    rank1 = pop_to_json(next(enumerate_pops(DominantWeight.from_omegas((1,)))))
+    rank1["overlays"].append(extra)
+    with pytest.raises(ValueError):
+        pop_from_json(rank1)
 
 
 def test_refinement_by_top_block_small():
@@ -212,7 +221,7 @@ def test_refinement_by_top_block_small():
             eta_row = pop.pattern.eta_rows[-1]
             key = (
                 tuple(a - b for a, b in zip(lam_row, eta_row)),
-                tuple(pop.barred_overlays[(i, r)] for i in range(1, r + 1)),
+                pop.overlays[-r:],
             )
             groups[key] = groups.get(key, 0) + 1
         expected = {}
