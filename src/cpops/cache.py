@@ -48,12 +48,12 @@ def cache_lookup(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("entry is not a JSON object")
         if obj.get("version") != CACHE_FORMAT_VERSION:
             print(f"warning: stale cache entry ignored: {path}", file=sys.stderr)
             return None
-        key = obj.get("key", {})
-        if key.get("rank") != rank or key.get("lambda") != list(lam) or \
-                key.get("method") != method:
+        if obj.get("key") != {"rank": rank, "lambda": list(lam), "method": method}:
             print(f"warning: cache key mismatch ignored: {path}", file=sys.stderr)
             return None
         return character_from_json(obj["character"])

@@ -224,75 +224,65 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     """Graded character as a lattice sum over gap arrays.
 
     A gap array assigns one non-negative integer to every barred position
-    (i, j <= rank) and unbarred position (i, j < rank). Each position carries
-    a Gaussian-binomial factor whose top argument is a fixed affine function
-    of the multiplicities and the array entries at higher levels, and the
-    array's weight is the bounding weight minus the gap-weighted sum of
-    positive roots. Arrays are walked level by level downward so every top
-    argument only involves entries already chosen; entries beyond their top
-    argument, and branches whose top goes negative, contribute zero by the
-    out-of-range convention and are skipped. The result equals
-    :func:`character_direct` exactly.
+    (i, j <= rank) and unbarred position (i, j < rank). The walk visits them
+    level by level downward (the top barred block, then per lower level its
+    unbarred and barred blocks) and keeps the entries in one list indexed by
+    walk position. Each position carries a Gaussian-binomial factor whose top
+    argument is a fixed affine function of the multiplicities and the entries
+    at higher levels, tabulated once per call as a constant plus (sign,
+    earlier walk index) terms. The array's weight is the bounding weight minus
+    the gap-weighted sum of positive roots. Entries beyond their top argument,
+    and branches whose top goes negative, contribute zero by the out-of-range
+    convention and are skipped. The result equals :func:`character_direct`.
     """
     r = lam.rank
-    lam_t = lam.lam
-    m = lam.omegas
-
     positions = [(i, r, True) for i in range(1, r + 1)]
     for j in range(r - 1, 0, -1):
         positions.extend((i, j, False) for i in range(1, j + 1))
         positions.extend((i, j, True) for i in range(1, j + 1))
-    vectors = {
-        (i, j, barred): root_vector(RootLabel(i, j, barred), r)
-        for i, j, barred in positions
-    }
+    index = {pos: k for k, pos in enumerate(positions)}
+    vectors = [[(t, c) for t, c in enumerate(root_vector(RootLabel(*p), r)) if c]
+               for p in positions]
 
-    ubar = {}
-    bar = {}
+    def row(i: int, sign: int, lo_unbarred: int, lo_barred: int) -> list:
+        # Signed entries of row i from the given levels up to the top.
+        return [(sign, index[(i, k, False)]) for k in range(lo_unbarred, r)] + [
+            (sign, index[(i, k, True)]) for k in range(lo_barred, r + 1)]
 
-    def top_argument(i: int, j: int, barred: bool) -> int:
+    # Position k reads only entries at indices below k, so the entry list
+    # never needs resetting between branches.
+    tops = []
+    for i, j, barred in positions:
+        lo = j if barred else j + 1
+        terms = row(i, -1, lo, j + 1)
         if barred and i == j:
-            return (
-                lam_t[i - 1]
-                - sum(ubar[(i, k)] for k in range(i, r))
-                - sum(bar[(i, k)] for k in range(i + 1, r + 1))
-            )
-        if barred:
-            return (
-                m[i - 1]
-                + sum(ubar[(i + 1, k)] - ubar[(i, k)] for k in range(j, r))
-                + sum(bar[(i + 1, k)] - bar[(i, k)] for k in range(j + 1, r + 1))
-            )
-        return (
-            m[i - 1]
-            + sum(ubar[(i + 1, k)] - ubar[(i, k)] for k in range(j + 1, r))
-            + sum(bar[(i + 1, k)] - bar[(i, k)] for k in range(j + 1, r + 1))
-        )
+            tops.append((lam.lam[i - 1], terms))
+        else:
+            tops.append((lam.omegas[i - 1], row(i + 1, 1, lo, j + 1) + terms))
 
+    entries = [0] * len(positions)
+    weight = list(lam.lam)  # each node undoes its own root subtractions
     ch = GradedCharacter(r)
 
-    def walk(pos_index: int, weight: list, poly: QPolynomial) -> None:
-        if pos_index == len(positions):
+    def walk(k: int, poly: QPolynomial) -> None:
+        if k == len(positions):
             w = tuple(weight)
             for exp, coeff in poly.coeffs().items():
                 ch.add_term(exp, w, coeff)
             return
-        i, j, barred = positions[pos_index]
-        n = top_argument(i, j, barred)
+        const, terms = tops[k]
+        n = const + sum(s * entries[t] for s, t in terms)
         if n < 0:
             return
-        store = bar if barred else ubar
-        vec = vectors[(i, j, barred)]
         for ell in range(n + 1):
-            store[(i, j)] = ell
-            walk(
-                pos_index + 1,
-                [weight[t] - ell * vec[t] for t in range(r)],
-                poly * q_binomial(n, ell),
-            )
-        del store[(i, j)]
+            entries[k] = ell
+            walk(k + 1, poly * q_binomial(n, ell))
+            for t, c in vectors[k]:
+                weight[t] -= c
+        for t, c in vectors[k]:
+            weight[t] += (n + 1) * c
 
-    walk(0, list(lam_t), QPolynomial.one())
+    walk(0, QPolynomial.one())
     return ch
 
 

@@ -233,10 +233,11 @@ def pattern_to_json(p: PatternC) -> dict:
 
 
 def pattern_from_json(obj: dict) -> PatternC:
-    """Inverse of :func:`pattern_to_json`; the row counts decide the kind."""
-    rank = int(obj["rank"])
-    etas = tuple(tuple(int(x) for x in row) for row in obj["eta"])
-    lams = tuple(tuple(int(x) for x in row) for row in obj["lambda"])
-    if len(lams) == rank or (len(lams) == rank - 1 and len(etas) == rank):
-        return PatternC(rank, etas, lams)
-    raise ValueError(f"row counts {len(etas)}/{len(lams)} invalid for rank {rank}")
+    """Inverse of :func:`pattern_to_json`; the row counts decide the kind.
+    A pattern that :func:`validate_pattern` rejects is a ValueError."""
+    p = PatternC(int(obj["rank"]), *(
+        tuple(tuple(int(x) for x in row) for row in obj[k]) for k in ("eta", "lambda")))
+    problems = validate_pattern(p)
+    if problems:
+        raise ValueError("invalid pattern: " + "; ".join(problems))
+    return p

@@ -11,6 +11,7 @@ Counts are plain Python integers, so the product formulas never overflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -40,12 +41,14 @@ Partition = tuple
 FPair = tuple
 
 
-def partitions_in_box(ell: int, ellp: int) -> Iterator[Partition]:
+@functools.cache
+def partitions_in_box(ell: int, ellp: int) -> tuple:
     """Weakly increasing tuples of length ``ell`` with parts at most ``ellp``,
-    in lexicographic order; there are comb(ell + ellp, ell) of them."""
+    in lexicographic order; there are comb(ell + ellp, ell) of them. Memoized,
+    as every pattern asks for the same few boxes."""
     if ell < 0 or ellp < 0:
         raise ValueError("box sides must be non-negative")
-    return itertools.combinations_with_replacement(range(ellp + 1), ell)
+    return tuple(itertools.combinations_with_replacement(range(ellp + 1), ell))
 
 
 def fits_box(parts: Partition, ell: int, ellp: int) -> bool:
@@ -184,17 +187,20 @@ def pop_to_json(p: Pop) -> dict:
 
 
 def pop_from_json(obj: dict) -> Pop:
-    """Inverse of :func:`pop_to_json`. The overlays must name exactly the
-    pattern's positions, in block order; anything else is a ValueError."""
-    pattern = pattern_from_json(
-        {"rank": obj["rank"], "eta": obj["eta"], "lambda": obj["lambda"]}
-    )
+    """Inverse of :func:`pop_to_json`. The pattern must be valid and the
+    overlays must name exactly its positions, in block order, each with a
+    partition fitting the box there; anything else is a ValueError."""
+    pattern = pattern_from_json(obj)
     entries = obj["overlays"]
     named = tuple((int(e["i"]), int(e["j"]), bool(e["barred"])) for e in entries)
     if named != pattern.positions:
         raise ValueError(
             f"overlay positions {named} differ from the pattern's {pattern.positions}")
-    return Pop(pattern, tuple(tuple(int(x) for x in e["parts"]) for e in entries))
+    overlays = tuple(tuple(int(x) for x in e["parts"]) for e in entries)
+    for pos, parts, box in zip(named, overlays, differences(pattern).values()):
+        if not fits_box(parts, *box):
+            raise ValueError(f"parts {list(parts)} at {pos} do not fit the box {box}")
+    return Pop(pattern, overlays)
 
 
 def monomial_to_json(m: PbwMonomial) -> dict:

@@ -108,8 +108,10 @@ def test_character_fermionic_examples():
 
 
 def test_character_methods_agree_rank1_sweep():
-    for w in sweep_dominant_weights(1, 3):
-        assert character_direct(w) == character_fermionic(w), w
+    # rank 1 up to total 3, and ranks 4-6, which the benchmark walks
+    for rank, max_total in ((1, 3), (4, 2), (5, 1), (6, 1)):
+        for w in sweep_dominant_weights(rank, max_total):
+            assert character_direct(w) == character_fermionic(w), w
 
 
 def test_binomial_tops_equal_gap_sums_pointwise():

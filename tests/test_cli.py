@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -174,12 +175,18 @@ def test_cache_unknown_key_misses(tmp_path):
 
 def test_cache_corrupt_entry_warns_and_misses(tmp_path, capsys):
     w = DominantWeight.from_omegas((2,))
-    path = cache_store(str(tmp_path), w.rank, w.lam, "direct",
-                       character_direct(w))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("not json at all")
-    assert cache_lookup(str(tmp_path), w.rank, w.lam, "direct") is None
-    assert "warning" in capsys.readouterr().err
+    fresh = run_cli(capsys, "char", "--omegas", "2")[1]
+    for content in ("not json at all", "[]", "null", '{"version": 1, "key": []}'):
+        path = cache_store(str(tmp_path), w.rank, w.lam, "direct",
+                           character_direct(w))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        assert cache_lookup(str(tmp_path), w.rank, w.lam, "direct") is None
+        assert "warning" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "char", "--omegas", "2",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 0 and out == fresh, content
+        assert len(err.splitlines()) == 1 and err.startswith("warning: ")
 
 
 def test_cache_stale_version_misses(tmp_path, capsys):
@@ -240,3 +247,18 @@ def test_benchmark_patch_targets_exist(tmp_path):
     finally:
         tracer.unpatch()
     assert traced.probe_cache([], str(tmp_path))["ok"]
+
+
+def test_benchmark_char_digests_match(capsys):
+    # The benchmark counts a stdout digest mismatch as a failed invocation;
+    # the same check runs here in-process on every recorded char key.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not present")
+    digests = json.loads(path.read_text())
+    keys = [key for key in digests if key.startswith("char ")]
+    assert keys
+    for key in keys:
+        assert cli.main(key.split()) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key

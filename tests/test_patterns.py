@@ -150,3 +150,10 @@ def test_json_round_trip():
             assert pattern_from_json(pattern_to_json(p)) == p
     for p in enumerate_restricted_patterns((2, 1)):
         assert pattern_from_json(pattern_to_json(p)) == p
+    # outside input: an invalid pattern or a missing row is a ValueError
+    for bad in (
+        {"rank": 1, "eta": [[9]], "lambda": [[1]]},
+        {"rank": 2, "eta": [[0]], "lambda": [[0], [0, 0]]},
+    ):
+        with pytest.raises(ValueError):
+            pattern_from_json(bad)

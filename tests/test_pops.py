@@ -208,6 +208,16 @@ def test_pop_json_round_trip():
     rank1["overlays"].append(extra)
     with pytest.raises(ValueError):
         pop_from_json(rank1)
+    # the parts must fit their boxes and the pattern must be valid
+    first, second = map(pop_to_json, enumerate_pops(DominantWeight.from_omegas((1,))))
+    for base, bad in (
+        (second, {"overlays": [dict(second["overlays"][0], parts=[7, 3])]}),
+        (first, {"overlays": [dict(first["overlays"][0], parts=[1])]}),
+        (first, {"eta": [[9]]}),
+        (obj, {"eta": [[0]]}),
+    ):
+        with pytest.raises(ValueError):
+            pop_from_json(dict(base, **bad))
 
 
 def test_refinement_by_top_block_small():
