@@ -140,21 +140,15 @@ class Report:
 
 
 def _pattern_count(lam_tuple) -> int:
-    if len(lam_tuple) == 0:
-        return 1
-    return sum(1 for _ in enumerate_patterns(DominantWeight.from_lambdas(lam_tuple)))
+    return sum(1 for _ in enumerate_patterns(lam_tuple)) if lam_tuple else 1
 
 
-def _restricted_pattern_count(eta) -> int:
-    return sum(1 for _ in enumerate_restricted_patterns(eta))
-
-
-def _character_diff_witness(a: GradedCharacter, b: GradedCharacter) -> str:
-    keys = sorted(set(a.terms) | set(b.terms))
-    for key in keys:
-        if a.terms.get(key) != b.terms.get(key):
-            return (f"term {key}: {a.terms.get(key, 0)} vs {b.terms.get(key, 0)}")
-    return "none"
+def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
+    # The first sorted key where the two maps differ, or None when equal.
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            return f"{label} {key}: {a.get(key, 0)} vs {b.get(key, 0)}"
+    return None
 
 
 def _refinement_by_top_block(top: tuple, restricted: bool) -> tuple:
@@ -184,12 +178,7 @@ def _refinement_by_top_block(top: tuple, restricted: bool) -> tuple:
         parts = tuple(s for _, s in combo)
         target = tuple(t - ell for t, ell in zip(top, ells))
         expected[(ells, parts)] = sum(1 for _ in lower(target))
-    witness = None
-    for key in sorted(set(groups) | set(expected)):
-        if groups.get(key) != expected.get(key):
-            witness = f"block {key}: {groups.get(key, 0)} vs {expected.get(key, 0)}"
-            break
-    return len(groups), len(expected), witness
+    return len(groups), len(expected), _diff_witness(groups, expected, "block")
 
 
 def verify_identities(lam: DominantWeight) -> Report:
@@ -197,7 +186,10 @@ def verify_identities(lam: DominantWeight) -> Report:
     report each as ok, fail, or skipped (when the rank is too small for it)."""
     r = lam.rank
     report = Report(lam)
-    entries = report.entries
+
+    def check(name, lhs, rhs, witness=None):
+        status = "ok" if lhs == rhs and witness is None else "fail"
+        report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
     n_patterns = 0
     weights_agree = 0
@@ -209,41 +201,23 @@ def verify_identities(lam: DominantWeight) -> Report:
             weights_agree += 1
         elif weight_witness is None:
             weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
-    dim_v = weyl_dim(lam)
-    entries.append(CheckResult(
-        "pattern-count-vs-weyl-dim",
-        "ok" if n_patterns == dim_v else "fail", n_patterns, dim_v))
+    check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
     # Every enumerated overlaid pattern adds 1 to the direct character.
     direct = character_direct(lam)
-    n_pops = total_dim(direct)
     formula = pop_count_formula(lam)
-    entries.append(CheckResult(
-        "pop-count-vs-product-formula",
-        "ok" if n_pops == formula else "fail", n_pops, formula))
+    check("pop-count-vs-product-formula", total_dim(direct), formula)
 
     fermionic = character_fermionic(lam)
-    if direct == fermionic:
-        entries.append(CheckResult(
-            "character-direct-vs-fermionic", "ok",
-            len(direct.terms), len(fermionic.terms)))
-    else:
-        entries.append(CheckResult(
-            "character-direct-vs-fermionic", "fail",
-            len(direct.terms), len(fermionic.terms),
-            _character_diff_witness(direct, fermionic)))
+    check("character-direct-vs-fermionic", len(direct.terms),
+          len(fermionic.terms), _diff_witness(direct.terms, fermionic.terms, "term"))
 
     zero_slice = direct.grade_slice(0)
     table = freudenthal_character(lam)
-    entries.append(CheckResult(
-        "zeroth-piece-vs-freudenthal",
-        "ok" if zero_slice == table else "fail",
-        sum(zero_slice.values()), sum(table.values())))
+    check("zeroth-piece-vs-freudenthal", sum(zero_slice.values()),
+          sum(table.values()), _diff_witness(zero_slice, table, "weight"))
 
-    n_groups, n_expected, witness = _refinement_by_top_block(lam.lam, False)
-    entries.append(CheckResult(
-        "pop-refinement-by-top-block", "fail" if witness else "ok",
-        n_groups, n_expected, witness))
+    check("pop-refinement-by-top-block", *_refinement_by_top_block(lam.lam, False))
 
     etas = shtepin_branch_v(lam)
     if r >= 2:
@@ -253,19 +227,14 @@ def verify_identities(lam: DominantWeight) -> Report:
             if witness:
                 bad = f"eta={eta}: {witness}"
                 break
-        entries.append(CheckResult(
-            "restricted-refinement-by-top-block",
-            "ok" if bad is None else "fail", len(etas), len(etas), bad))
+        check("restricted-refinement-by-top-block", len(etas), len(etas), bad)
     else:
-        entries.append(CheckResult(
-            "restricted-refinement-by-top-block", "skipped"))
+        report.entries.append(
+            CheckResult("restricted-refinement-by-top-block", "skipped"))
 
-    restricted_counts = [_restricted_pattern_count(eta) for eta in etas]
-    total_intermediate = sum(restricted_counts)
-    entries.append(CheckResult(
-        "irreducible-dim-vs-intermediate-sum",
-        "ok" if n_patterns == total_intermediate else "fail",
-        n_patterns, total_intermediate))
+    restricted_counts = [
+        sum(1 for _ in enumerate_restricted_patterns(eta)) for eta in etas]
+    check("irreducible-dim-vs-intermediate-sum", n_patterns, sum(restricted_counts))
 
     bad = None
     for eta, lhs in zip(etas, restricted_counts):
@@ -273,9 +242,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         if lhs != rhs:
             bad = f"eta={eta}: {lhs} vs {rhs}"
             break
-    entries.append(CheckResult(
-        "intermediate-dim-vs-irreducible-sum",
-        "ok" if bad is None else "fail", len(etas), len(etas), bad))
+    check("intermediate-dim-vs-irreducible-sum", len(etas), len(etas), bad)
 
     if r >= 2:
         terms = weyl_filtration(lam)
@@ -283,9 +250,7 @@ def verify_identities(lam: DominantWeight) -> Report:
             term.mult * pop_count_formula(DominantWeight.from_lambdas(term.target))
             for term in terms
         )
-        entries.append(CheckResult(
-            "weyl-filtration-dimension",
-            "ok" if booked == formula else "fail", booked, formula))
+        check("weyl-filtration-dimension", booked, formula)
 
         lhs = restrict_drop_last(specialize_q1(direct))
         rhs = GradedCharacter(r - 1)
@@ -295,21 +260,12 @@ def verify_identities(lam: DominantWeight) -> Report:
                 cache[term.target] = specialize_q1(
                     character_direct(DominantWeight.from_lambdas(term.target)))
             rhs.merge(cache[term.target], scale=term.mult)
-        if lhs == rhs:
-            entries.append(CheckResult(
-                "ungraded-restriction-character", "ok",
-                total_dim(lhs), total_dim(rhs)))
-        else:
-            entries.append(CheckResult(
-                "ungraded-restriction-character", "fail",
-                total_dim(lhs), total_dim(rhs),
-                _character_diff_witness(lhs, rhs)))
+        check("ungraded-restriction-character", total_dim(lhs), total_dim(rhs),
+              _diff_witness(lhs.terms, rhs.terms, "term"))
     else:
-        entries.append(CheckResult("weyl-filtration-dimension", "skipped"))
-        entries.append(CheckResult("ungraded-restriction-character", "skipped"))
+        for name in ("weyl-filtration-dimension", "ungraded-restriction-character"):
+            report.entries.append(CheckResult(name, "skipped"))
 
-    entries.append(CheckResult(
-        "pattern-weight-vs-root-expansion",
-        "ok" if weight_witness is None else "fail",
-        n_patterns, weights_agree, weight_witness))
+    check("pattern-weight-vs-root-expansion", n_patterns, weights_agree,
+          weight_witness)
     return report

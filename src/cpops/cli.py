@@ -7,7 +7,8 @@ tuple; --rank is optional and must agree with the tuple length when present.
 
 Listings stream one JSON object per line (--format json) or one display line
 per item (--format text) and are deterministic across runs. Exit status is 0
-on success, 1 when a requested check fails, 2 on usage errors.
+on success, 1 when a requested check fails, 2 on usage errors, 141 when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -331,7 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # final flush cannot raise again, and exit as SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -44,11 +44,13 @@ def dominant_rep(weight: Sequence[int]) -> tuple:
 
 
 def signed_orbit(weight: Sequence[int]) -> set:
-    """All images of a weight under coordinate permutations and sign flips."""
-    out = set()
-    for perm in itertools.permutations(weight):
-        for signs in itertools.product((1, -1), repeat=len(weight)):
-            out.add(tuple(s * x for s, x in zip(signs, perm)))
+    """All images of a weight under reordering of its coordinates and sign
+    flips, built by inserting each signed coordinate at every position of the
+    distinct partial images."""
+    out = {()}
+    for x in weight:
+        out = {img[:k] + (y,) + img[k:]
+               for img in out for y in {x, -x} for k in range(len(img) + 1)}
     return out
 
 
@@ -80,17 +82,8 @@ def dominant_weights_below(lam: DominantWeight) -> list:
     combination's coefficient sum ascending, ties broken lexicographically)."""
     r = lam.rank
     top = lam.eps
-
-    def candidates(bound: int, length: int):
-        if length == 0:
-            yield ()
-            return
-        for first in range(bound + 1):
-            for rest in candidates(first, length - 1):
-                yield (first,) + rest
-
     found = []
-    for mu in candidates(top[0], r):
+    for mu in itertools.combinations_with_replacement(range(top[0], -1, -1), r):
         coords = positive_root_coordinates(tuple(a - b for a, b in zip(top, mu)))
         if coords is not None:
             found.append((sum(coords), tuple(-x for x in mu), mu))
@@ -100,7 +93,7 @@ def dominant_weights_below(lam: DominantWeight) -> list:
 
 def freudenthal_character(lam: DominantWeight) -> dict:
     """Weight -> multiplicity map of the irreducible module of highest
-    weight ``lam``, closed under signed permutations of the
+    weight ``lam``, closed under the signed-permutation group of the
     epsilon-coordinates. Computed by Freudenthal's recursion, seeded with
     multiplicity 1 at the top; the total equals :func:`weyl_dim`."""
     r = lam.rank

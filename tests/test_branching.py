@@ -1,5 +1,6 @@
 import pytest
 
+from cpops import branching
 from cpops.branching import (
     FiltrationTerm,
     shtepin_branch_l,
@@ -142,3 +143,56 @@ def test_report_serialization():
     assert all({"check", "status", "lhs", "rhs"} <= set(c) for c in blob["checks"])
     text = report.to_text()
     assert "pattern-count-vs-weyl-dim" in text
+
+
+def _after(fn, change):
+    def faulty(arg):
+        out = fn(arg)
+        change(out)
+        return out
+    return faulty
+
+
+def _move_one(table):
+    # Shift one unit of multiplicity between two weights; the total stays.
+    table[min(table)] -= 1
+    table[max(table)] += 1
+
+
+# (name in cpops.branching, original -> faulty replacement, checks that fail)
+VERIFY_FAULTS = {
+    "weyl-dim-zero": (
+        "weyl_dim", lambda f: lambda lam: 0, {"pattern-count-vs-weyl-dim"}),
+    "fermionic-extra-term": (
+        "character_fermionic",
+        lambda f: _after(f, lambda ch: ch.add_term(99, (0,) * ch.rank)),
+        {"character-direct-vs-fermionic"}),
+    "fermionic-mult-plus-one": (
+        "character_fermionic",
+        lambda f: _after(f, lambda ch: ch.add_term(*min(ch.terms))),
+        {"character-direct-vs-fermionic"}),
+    "freudenthal-moved-one": (
+        "freudenthal_character", lambda f: _after(f, _move_one),
+        {"zeroth-piece-vs-freudenthal"}),
+    "weight-by-roots-zero": (
+        "_weight_by_roots", lambda f: lambda p: (0,) * p.rank,
+        {"pattern-weight-vs-root-expansion"}),
+    "branch-l-drops-last": (
+        "shtepin_branch_l", lambda f: lambda eta: f(eta)[:-1],
+        {"intermediate-dim-vs-irreducible-sum"}),
+    "pop-formula-plus-one": (
+        "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
+        {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(VERIFY_FAULTS))
+def test_verify_identities_reports_each_fault(monkeypatch, fault):
+    name, make_faulty, failing = VERIFY_FAULTS[fault]
+    monkeypatch.setattr(branching, name, make_faulty(getattr(branching, name)))
+    report = verify_identities(DominantWeight.from_omegas((1, 1)))
+    assert report.ok is False
+    failed = [e for e in report.entries if e.status == "fail"]
+    assert {e.check for e in failed} == failing
+    # Equal summaries with different maps fail through the witness alone.
+    assert all(e.witness for e in failed if e.lhs == e.rhs)

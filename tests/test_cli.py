@@ -1,11 +1,14 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cpops import cli
+from cpops import branching, cli
 from cpops.cache import cache_lookup, cache_store
 from cpops.characters import GradedCharacter, character_direct, character_to_json
 from cpops.patterns import enumerate_patterns, pattern_from_json
@@ -67,6 +70,41 @@ def test_verify_single_weight_json(capsys):
     assert code == 0
     reports = json.loads(out)
     assert len(reports) == 1 and reports[0]["ok"] is True
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(branching, "weyl_dim", lambda lam: 0)
+    code, out, _ = run_cli(capsys, "verify", "--omegas", "1,1")
+    assert code == 1
+    assert out.splitlines()[-1] == "verified 1 weight(s), 1 failure(s)"
+
+
+def test_char_both_mismatch_exits_1(capsys, monkeypatch):
+    fermionic = cli.character_fermionic
+
+    def bumped(weight):
+        ch = fermionic(weight)
+        ch.add_term(*min(ch.terms))
+        return ch
+
+    monkeypatch.setattr(cli, "character_fermionic", bumped)
+    code, out, err = run_cli(capsys, "char", "--omegas", "1,1", "--method", "both")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpops.cli", "pops", "--omegas", "2,2,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_count_matches_enumeration(capsys):
@@ -262,3 +300,26 @@ def test_benchmark_char_digests_match(capsys):
         assert cli.main(key.split()) == 0, key
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key
+
+
+def test_benchmark_verify_rungs_pass(capsys):
+    # The benchmark counts a verify report that is not all ok as a failed
+    # invocation; the same rungs run here in-process.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not present")
+    rungs = json.loads(path.read_text())["workloads"]["verify-sweep"]["rungs"]
+    argvs = []
+    for rung in rungs:
+        if "sweep" in rung:
+            rank, total = rung["sweep"]
+            argvs.append(
+                rung["args"] + ["--rank", str(rank), "--max-total", str(total)])
+        else:
+            argvs += [rung["args"] + ["--omegas", ",".join(map(str, omegas))]
+                      for omegas in rung["pool"]]
+    assert len(argvs) == 3
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        reports = json.loads(capsys.readouterr().out)
+        assert reports and all(report["ok"] for report in reports), argv

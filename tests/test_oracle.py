@@ -1,5 +1,6 @@
+import itertools
 from collections import Counter
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -95,3 +96,24 @@ def test_freudenthal_matches_pattern_weight_multiset():
         for w in sweep_dominant_weights(r, 2):
             counted = Counter(pattern_weight(p) for p in enumerate_patterns(w))
             assert dict(counted) == freudenthal_character(w), w
+
+
+def _signed_permutation_images(weight):
+    # Reference: every one of the r!·2^r signed permutations.
+    out = set()
+    for perm in itertools.permutations(weight):
+        for signs in itertools.product((1, -1), repeat=len(weight)):
+            out.add(tuple(s * x for s, x in zip(signs, perm)))
+    return out
+
+
+def test_signed_orbit_matches_all_signed_permutations():
+    weights = [w.eps for r in range(1, 6) for w in sweep_dominant_weights(r, 2)]
+    weights += [(0, -2, 1), (3, -3, 0, 3), (1, 1, 1, 0, 0, 0)]
+    for weight in weights:
+        orbit = signed_orbit(weight)
+        assert orbit == _signed_permutation_images(weight), weight
+        size = 2 ** sum(1 for x in weight if x) * factorial(len(weight))
+        for mult in Counter(abs(x) for x in weight).values():
+            size //= factorial(mult)
+        assert len(orbit) == size, weight
