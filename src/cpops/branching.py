@@ -151,31 +151,22 @@ def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
     return None
 
 
-def _refinement_by_top_block(top: tuple, restricted: bool) -> tuple:
-    # Group the overlaid patterns bounded by ``top`` (restricted ones when
-    # ``restricted``) by the gaps and overlays of the block just under the
-    # top row: the final barred block of a full pattern, the top unbarred
-    # block of a restricted one. The groups must be exactly the admissible
-    # block choices, each the size of the enumeration one half-step down
-    # that the choice bounds. Returns (groups, expected groups, witness).
-    omegas = lambda_to_omegas(top)
-    if restricted:
-        omegas = omegas[:-1]
-        pops, lower = enumerate_restricted_pops, enumerate_pops
-    else:
-        pops, lower = enumerate_pops, enumerate_restricted_pops
-    k = len(omegas)
+def _refinement_by_top_block(pops, omegas: tuple, top: tuple, lower) -> tuple:
+    # Group the overlaid patterns ``pops`` bounded by ``top`` by the gaps and
+    # overlays of the block just under the top row (the final barred block of
+    # a full pattern, the top unbarred block of a restricted one: the last
+    # len(omegas) positions). The groups must be exactly the block choices
+    # for ``omegas``, each the size of the ``lower`` enumeration one
+    # half-step down that the choice bounds. Returns (groups, expected, witness).
     groups = Counter()
-    for pop in pops(top):
+    for pop in pops:
         p = pop.pattern
-        below = (p.lambda_rows if restricted else p.eta_rows)[-1]
+        below = (p.lambda_rows if p.restricted else p.eta_rows)[-1]
         ells = tuple(a - b for a, b in zip(top, below))
-        # The block just under the top row is the last k positions.
-        groups[(ells, pop.overlays[len(pop.overlays) - k:])] += 1
+        groups[(ells, pop.overlays[len(pop.overlays) - len(omegas):])] += 1
     expected = {}
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
-        ells = tuple(ell for ell, _ in combo)
-        parts = tuple(s for _, s in combo)
+        ells, parts = zip(*combo)
         target = tuple(t - ell for t, ell in zip(top, ells))
         expected[(ells, parts)] = sum(1 for _ in lower(target))
     return len(groups), len(expected), _diff_witness(groups, expected, "block")
@@ -217,13 +208,16 @@ def verify_identities(lam: DominantWeight) -> Report:
     check("zeroth-piece-vs-freudenthal", sum(zero_slice.values()),
           sum(table.values()), _diff_witness(zero_slice, table, "weight"))
 
-    check("pop-refinement-by-top-block", *_refinement_by_top_block(lam.lam, False))
+    check("pop-refinement-by-top-block", *_refinement_by_top_block(
+        enumerate_pops(lam), lam.omegas, lam.lam, enumerate_restricted_pops))
 
     etas = shtepin_branch_v(lam)
     if r >= 2:
         bad = None
         for eta in etas:
-            witness = _refinement_by_top_block(eta, True)[2]
+            witness = _refinement_by_top_block(
+                enumerate_restricted_pops(eta), lambda_to_omegas(eta)[:-1], eta,
+                enumerate_pops)[2]
             if witness:
                 bad = f"eta={eta}: {witness}"
                 break

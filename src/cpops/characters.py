@@ -22,6 +22,17 @@ from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
 from .rootsys import DominantWeight, RootLabel, root_vector
 
 
+def _signed_sum(terms) -> str:
+    # Non-zero (coefficient, symbol) pairs as one signed sum: the first term
+    # keeps its own sign, later ones are joined by +/-, a coefficient of +-1
+    # on a non-empty symbol prints without the 1, and no terms print 0.
+    out = ""
+    for c, symbol in terms:
+        mag = "" if abs(c) == 1 and symbol else str(abs(c))
+        out += f"{'-' if c < 0 else '+' if out else ''}{mag}{symbol}"
+    return out or "0"
+
+
 class QPolynomial:
     """Polynomial in q with integer coefficients, stored sparsely.
 
@@ -105,21 +116,9 @@ class QPolynomial:
         return max(self._coeffs, default=-1)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for exp in sorted(self._coeffs):
-            c = self._coeffs[exp]
-            if exp == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                body = f"{mag}q" if exp == 1 else f"{mag}q^{exp}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'}{body}")
-        return "".join(parts)
+        return _signed_sum(
+            (self._coeffs[exp], "" if exp == 0 else "q" if exp == 1 else f"q^{exp}")
+            for exp in sorted(self._coeffs))
 
     def __repr__(self) -> str:
         return f"QPolynomial({self._coeffs!r})"
@@ -233,7 +232,8 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     earlier walk index) terms. The array's weight is the bounding weight minus
     the gap-weighted sum of positive roots. Entries beyond their top argument,
     and branches whose top goes negative, contribute zero by the out-of-range
-    convention and are skipped. The result equals :func:`character_direct`.
+    convention and are skipped. A forced position, whose top argument is 0,
+    is passed over without a call. The result equals :func:`character_direct`.
     """
     r = lam.rank
     positions = [(i, r, True) for i in range(1, r + 1)]
@@ -265,15 +265,23 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     ch = GradedCharacter(r)
 
     def walk(k: int, poly: QPolynomial) -> None:
-        if k == len(positions):
-            w = tuple(weight)
-            for exp, coeff in poly.coeffs().items():
-                ch.add_term(exp, w, coeff)
-            return
-        const, terms = tops[k]
-        n = const + sum(s * entries[t] for s, t in terms)
-        if n < 0:
-            return
+        # A position whose top argument is 0 (entry 0, factor 1, no weight
+        # change) is passed over here, so the recursion depth is the number
+        # of free positions on a path, not the number of positions.
+        while True:
+            if k == len(positions):
+                w = tuple(weight)
+                for exp, coeff in poly.coeffs().items():
+                    ch.add_term(exp, w, coeff)
+                return
+            const, terms = tops[k]
+            n = const + sum(s * entries[t] for s, t in terms)
+            if n < 0:
+                return
+            if n:
+                break
+            entries[k] = 0
+            k += 1
         for ell in range(n + 1):
             entries[k] = ell
             walk(k + 1, poly * q_binomial(n, ell))
@@ -339,17 +347,8 @@ def character_to_csv(ch: GradedCharacter) -> str:
 
 
 def _weight_linear(weight: Sequence[int], symbol: str, sub: str) -> str:
-    parts = []
-    for i, a in enumerate(weight, start=1):
-        if a == 0:
-            continue
-        mag = "" if abs(a) == 1 else str(abs(a))
-        term = f"{mag}{symbol}{sub.format(i=i)}"
-        if not parts:
-            parts.append(term if a > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if a > 0 else f"-{term}")
-    return "".join(parts) if parts else "0"
+    return _signed_sum((a, f"{symbol}{sub.format(i=i)}")
+                       for i, a in enumerate(weight, start=1) if a)
 
 
 def character_to_latex(ch: GradedCharacter) -> str:

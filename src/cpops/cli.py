@@ -7,8 +7,9 @@ tuple; --rank is optional and must agree with the tuple length when present.
 
 Listings stream one JSON object per line (--format json) or one display line
 per item (--format text) and are deterministic across runs. Exit status is 0
-on success, 1 when a requested check fails, 2 on usage errors, 141 when the
-reader closes stdout early.
+on success, 1 when a requested check fails, 2 on usage errors (a --max-total
+too large to sweep among them), 3 on an internal error (one stderr line, no
+traceback), 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -136,10 +137,8 @@ def _pattern_text(p) -> str:
 
 def cmd_patterns(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    if args.restricted:
-        items = enumerate_restricted_patterns(weight.lam)
-    else:
-        items = enumerate_patterns(weight)
+    items = (enumerate_restricted_patterns(weight.lam) if args.restricted
+             else enumerate_patterns(weight))
     _print_stream(items, pattern_to_json, _pattern_text, args.format)
     return 0
 
@@ -152,10 +151,8 @@ def _pop_text(p) -> str:
 
 def cmd_pops(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    if args.restricted:
-        items = enumerate_restricted_pops(weight.lam)
-    else:
-        items = enumerate_pops(weight)
+    items = (enumerate_restricted_pops(weight.lam) if args.restricted
+             else enumerate_pops(weight))
     _print_stream(items, pop_to_json, _pop_text, args.format)
     return 0
 
@@ -216,21 +213,14 @@ def cmd_branch(args, parser) -> int:
     if args.kind == "filtration":
         if weight.rank < 2:
             parser.error("--kind filtration needs rank at least 2")
-        for term in weyl_filtration(weight):
-            if args.format == "json":
-                print(json.dumps({
-                    "ell": list(term.ell), "ellp": list(term.ellp),
-                    "mult": term.mult, "target": list(term.target),
-                }, sort_keys=True))
-            else:
-                print(f"ell={list(term.ell)} ellp={list(term.ellp)} "
-                      f"mult={term.mult} target={list(term.target)}")
-    elif args.kind == "shtepin-v":
-        for eta in shtepin_branch_v(weight):
-            print(json.dumps(list(eta)) if args.format == "json" else str(list(eta)))
-    else:  # shtepin-l
-        for nu in shtepin_branch_l(weight.lam):
-            print(json.dumps(list(nu)) if args.format == "json" else str(list(nu)))
+        fields = ({"ell": list(t.ell), "ellp": list(t.ellp), "mult": t.mult,
+                   "target": list(t.target)} for t in weyl_filtration(weight))
+        _print_stream(fields, dict, lambda f: " ".join(
+            f"{name}={value}" for name, value in f.items()), args.format)
+    else:
+        rows = (shtepin_branch_v(weight) if args.kind == "shtepin-v"
+                else shtepin_branch_l(weight.lam))
+        _print_stream(rows, list, lambda row: str(list(row)), args.format)
     return 0
 
 
@@ -244,7 +234,11 @@ def cmd_verify(args, parser) -> int:
     elif args.max_total < 0:
         parser.error(f"--max-total must be non-negative, got {args.max_total}")
     else:
-        weights = list(sweep_dominant_weights(args.rank, args.max_total))
+        try:
+            weights = list(sweep_dominant_weights(args.rank, args.max_total))
+        except OverflowError:
+            parser.error(f"sweep too large: --rank {args.rank} "
+                         f"--max-total {args.max_total}")
     reports = [verify_identities(w) for w in weights]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
@@ -340,6 +334,11 @@ def main(argv=None) -> int:
         # final flush cannot raise again, and exit as SIGPIPE would (128 + 13).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"cpops: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
     return code
 
 

@@ -183,6 +183,9 @@ VERIFY_FAULTS = {
     "pop-formula-plus-one": (
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
         {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
+    "restricted-pops-drops-last": (
+        "enumerate_restricted_pops", lambda f: lambda eta: list(f(eta))[:-1],
+        {"pop-refinement-by-top-block", "restricted-refinement-by-top-block"}),
 }
 
 

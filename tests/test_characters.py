@@ -35,6 +35,9 @@ def test_qpolynomial_arithmetic():
     assert str(one + q) == "1+q"
     assert str(QPolynomial({0: 1, 2: 2, 3: 1})) == "1+2q^2+q^3"
     assert str(QPolynomial.zero()) == "0"
+    assert str(QPolynomial({0: -1, 1: -1, 3: 2})) == "-1-q+2q^3"
+    assert str(QPolynomial({2: -1})) == "-q^2"
+    assert str(QPolynomial({1: 1})) == "q"
 
 
 def test_q_binomial_examples():
@@ -207,6 +210,13 @@ def test_render_formats_smoke():
     assert "1,0,1" in csv.splitlines()
     latex = character_to_latex(ch)
     assert "q^{1}" in latex and "\\varepsilon_{1}" in latex
+    signed = GradedCharacter(3, {(0, (0, -2, 1)): 1, (2, (0, 0, 0)): -3,
+                                 (1, (1, -1, 0)): 2})
+    assert character_to_text(signed) == \
+        "(2q)·e^{ε1-ε2} + (-3q^2)·1 + e^{-2ε2+ε3}"
+    assert character_to_latex(signed) == (
+        r"1 q^{0} e^{-2\varepsilon_{2}+\varepsilon_{3}} + "
+        r"2 q^{1} e^{\varepsilon_{1}-\varepsilon_{2}} + -3 q^{2} e^{0}")
 
 
 def test_signed_permutation_invariance_of_slices():

@@ -153,6 +153,29 @@ def test_branch_listings(capsys):
                            "--kind", "shtepin-l")
     assert code == 0
     assert out.splitlines() == ["[0]", "[1]"]
+    # Exact lines, pinned byte for byte.
+    expected = {
+        ("--lambdas", "1,1", "--kind", "filtration", "--format", "text"): [
+            "ell=[0, 0] ellp=[0] mult=1 target=[1]",
+            "ell=[0, 1] ellp=[0] mult=1 target=[1]",
+            "ell=[0, 1] ellp=[1] mult=1 target=[0]",
+        ],
+        ("--lambdas", "1,1", "--kind", "filtration", "--format", "json"): [
+            '{"ell": [0, 0], "ellp": [0], "mult": 1, "target": [1]}',
+            '{"ell": [0, 1], "ellp": [0], "mult": 1, "target": [1]}',
+            '{"ell": [0, 1], "ellp": [1], "mult": 1, "target": [0]}',
+        ],
+        ("--lambdas", "2,1,0", "--kind", "shtepin-v", "--format", "text"): [
+            "[1, 0, 0]", "[1, 1, 0]", "[2, 0, 0]", "[2, 1, 0]",
+        ],
+        ("--lambdas", "2,1,0", "--kind", "shtepin-l", "--format", "json"): [
+            "[1, 0]", "[1, 1]", "[2, 0]", "[2, 1]",
+        ],
+    }
+    for argv, lines in expected.items():
+        code, out, _ = run_cli(capsys, "branch", *argv)
+        assert code == 0
+        assert out.splitlines() == lines, argv
 
 
 def test_usage_error_both_weight_forms(capsys):
@@ -189,6 +212,7 @@ def test_usage_error_bad_weight(capsys):
     ["verify", "--rank", "0", "--max-total", "1"],
     ["verify", "--rank", "-1"],
     ["verify", "--rank", "2", "--max-total", "-1"],
+    ["verify", "--rank", "2", "--max-total", "100000000000000000000"],
 ])
 def test_usage_error_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -197,6 +221,25 @@ def test_usage_error_bad_input(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(weight):
+        raise RuntimeError("injected\nfailure")
+    monkeypatch.setattr(cli, "weyl_dim", broken)
+    code, out, err = run_cli(capsys, "dim", "--irreducible", "--omegas", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "cpops: internal error: RuntimeError: injected failure\n"
+
+
+def test_char_both_beyond_recursion_depth(capsys):
+    # Over 1,000 gap positions: the fermionic walk must not recurse per position.
+    for omegas in ((0,) * 40, (1,) + (0,) * 31):
+        code, out, err = run_cli(capsys, "char", "--method", "both", "--omegas",
+                                 ",".join(map(str, omegas)))
+        assert code == 0, err
+        assert out.strip()
 
 
 def test_cache_round_trip(tmp_path):
