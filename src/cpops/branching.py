@@ -153,16 +153,15 @@ def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
 
 def _refinement_by_top_block(pops, omegas: tuple, top: tuple, lower) -> tuple:
     # Group the overlaid patterns ``pops`` bounded by ``top`` by the gaps and
-    # overlays of the block just under the top row (the final barred block of
-    # a full pattern, the top unbarred block of a restricted one: the last
-    # len(omegas) positions). The groups must be exactly the block choices
-    # for ``omegas``, each the size of the ``lower`` enumeration one
-    # half-step down that the choice bounds. Returns (groups, expected, witness).
+    # overlays of the block between the top row and the row under it,
+    # ``rows[-2]`` (the final barred block of a full pattern, the top unbarred
+    # block of a restricted one: the last len(omegas) positions). The groups
+    # must be exactly the block choices for ``omegas``, each the size of the
+    # ``lower`` enumeration one half-step down that the choice bounds.
+    # Returns (groups, expected, witness).
     groups = Counter()
     for pop in pops:
-        p = pop.pattern
-        below = (p.lambda_rows if p.restricted else p.eta_rows)[-1]
-        ells = tuple(a - b for a, b in zip(top, below))
+        ells = tuple(a - b for a, b in zip(top, pop.pattern.rows[-2]))
         groups[(ells, pop.overlays[len(pop.overlays) - len(omegas):])] += 1
     expected = {}
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):

@@ -1,22 +1,22 @@
 """Symplectic interlacing patterns: validation, enumeration, differences.
 
-A pattern of rank r is a stack of 2r integer rows eta^1, lam^1, ..., eta^r,
-lam^r where row j has length j. Row lam^j dominates eta^j entrywise with the
-shifted tail condition lam^j_{j+1} = 0, and eta^{j+1} dominates lam^j the same
-way, so every entry is a non-negative integer. The final row lam^r is the
-bounding sequence. A restricted pattern is the same stack with the final lam^r
-row removed, bounded by its eta^r row instead: the same object one half-step
-down, so both kinds share one record and the lambda-row count (r or r-1)
-tells them apart.
+A pattern of rank r is one chain of integer rows, read bottom-up as
+``PatternC.rows``: eta^1, lam^1, eta^2, lam^2, ..., where eta^j and lam^j have
+length j, so row k of the chain has length k//2 + 1. Each row interlaces the
+one above it, upper_i >= lower_i >= upper_{i+1}, where an entry past the end
+of a row counts as 0; hence every entry is a non-negative integer. A full
+pattern has 2r rows and ends at the bounding row lam^r; a restricted pattern
+has 2r-1 rows and ends at eta^r. One record serves both kinds, and the
+lambda-row count (r or r-1) tells them apart.
 
-The gaps between adjacent rows sit at overlay positions (i, j, barred), kept
-in one fixed word-block order (:func:`overlay_positions`): for each level
-j < r the barred block then the unbarred block, then for full patterns the
-barred block at level r.
+The gaps between rows k and k+1 sit at the positions (i, k//2 + 1, barred =
+k even), i = 1..k//2 + 1. Walking k upward gives the one word-block order of
+:func:`overlay_positions`: for each level j < r the barred block then the
+unbarred block, then for full patterns the barred block at level r.
 
-Enumeration is depth-first from the bounding row upward. Each new row is
-constrained entrywise by the adjacent known row only, so the candidate values
-per position form independent ranges and generation never backtracks.
+Enumeration walks the chain depth-first from the bounding row down, in a
+loop. Each row is constrained entrywise by the row above it only, so its
+candidate values form independent ranges and generation never backtracks.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ class PatternC:
     eta_rows: tuple
     lambda_rows: tuple
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> PatternC:
+        """The pattern whose chain, read bottom-up, is ``rows``."""
+        return cls(len(rows[-1]), tuple(rows[::2]), tuple(rows[1::2]))
+
+    @property
+    def rows(self) -> tuple:
+        """The chain eta^1, lam^1, eta^2, ..., ending at the bounding row."""
+        rows = [None] * (len(self.eta_rows) + len(self.lambda_rows))
+        rows[::2], rows[1::2] = self.eta_rows, self.lambda_rows
+        return tuple(rows)
+
     @property
     def restricted(self) -> bool:
         return len(self.lambda_rows) == self.rank - 1
@@ -52,18 +64,23 @@ class PatternC:
         return overlay_positions(self.rank, restricted=self.restricted)
 
 
+def _gap_level(k: int) -> tuple:
+    # (j, barred) of the gaps between rows k and k+1 of the chain.
+    return k // 2 + 1, k % 2 == 0
+
+
+def _row_name(k: int) -> str:
+    # Row k of the chain: eta^{k//2+1} when k is even, lambda^{k//2+1} when odd.
+    return f"{'lambda' if k % 2 else 'eta'}^{k // 2 + 1}"
+
+
 @functools.cache
 def overlay_positions(rank: int, *, restricted: bool = False) -> tuple:
     """Overlay positions (i, j, barred) in word-block order: for each level
     j < rank the barred block then the unbarred block, then for full patterns
     the barred block at level rank."""
-    pos = []
-    for j in range(1, rank):
-        pos.extend((i, j, True) for i in range(1, j + 1))
-        pos.extend((i, j, False) for i in range(1, j + 1))
-    if not restricted:
-        pos.extend((i, rank, True) for i in range(1, rank + 1))
-    return tuple(pos)
+    return tuple((i, *_gap_level(k)) for k in range(2 * rank - 1 - restricted)
+                 for i in range(1, k // 2 + 2))
 
 
 def validate_pattern(p: PatternC) -> list:
@@ -73,54 +90,31 @@ def validate_pattern(p: PatternC) -> list:
     only checked for rows of the correct length. Violation strings carry the
     row kind and the (j, i) position.
     """
-    problems = []
     r = p.rank
-    n_lambda = r - 1 if p.restricted else r
-    if len(p.eta_rows) != r:
-        problems.append(f"expected {r} eta rows, got {len(p.eta_rows)}")
-    if len(p.lambda_rows) != n_lambda:
-        problems.append(f"expected {n_lambda} lambda rows, got {len(p.lambda_rows)}")
-    for j, row in enumerate(p.eta_rows, start=1):
-        if j <= r and len(row) != j:
-            problems.append(f"eta^{j} has length {len(row)}, expected {j}")
-    for j, row in enumerate(p.lambda_rows, start=1):
-        if j <= n_lambda and len(row) != j:
-            problems.append(f"lambda^{j} has length {len(row)}, expected {j}")
+    if r < 1:
+        return [f"rank must be at least 1, got {r}"]
+    problems = []
+    for name, rows, n in (("eta", p.eta_rows, r),
+                          ("lambda", p.lambda_rows, r - p.restricted)):
+        if len(rows) != n:
+            problems.append(f"expected {n} {name} rows, got {len(rows)}")
+        problems += [f"{name}^{j} has length {len(row)}, expected {j}"
+                     for j, row in enumerate(rows[:n], start=1) if len(row) != j]
     if problems:
         return problems
 
-    for j in range(1, n_lambda + 1):
-        lam_j = p.lambda_rows[j - 1]
-        eta_j = p.eta_rows[j - 1]
-        for i in range(1, j + 1):
-            hi = lam_j[i - 1]
-            lo = lam_j[i] if i < j else 0
-            if not hi >= eta_j[i - 1]:
-                problems.append(
-                    f"lambda^{j}_{i} >= eta^{j}_{i} fails: {hi} < {eta_j[i - 1]}"
-                )
-            if not eta_j[i - 1] >= lo:
-                problems.append(
-                    f"eta^{j}_{i} >= lambda^{j}_{i + 1} fails: {eta_j[i - 1]} < {lo}"
-                )
-    for j in range(1, r):
-        lam_j = p.lambda_rows[j - 1]
-        eta_next = p.eta_rows[j]
-        for i in range(1, j + 1):
-            if not eta_next[i - 1] >= lam_j[i - 1]:
-                problems.append(
-                    f"eta^{j + 1}_{i} >= lambda^{j}_{i} fails: "
-                    f"{eta_next[i - 1]} < {lam_j[i - 1]}"
-                )
-            if not lam_j[i - 1] >= eta_next[i]:
-                problems.append(
-                    f"lambda^{j}_{i} >= eta^{j + 1}_{i + 1} fails: "
-                    f"{lam_j[i - 1]} < {eta_next[i]}"
-                )
-    if any(x < 0 for row in p.eta_rows for x in row):
-        problems.append("negative entry in eta rows")
-    if any(x < 0 for row in p.lambda_rows for x in row):
-        problems.append("negative entry in lambda rows")
+    rows = p.rows
+    for k in range(len(rows) - 1):
+        lower, upper = rows[k], rows[k + 1] + (0,)
+        lo, up = _row_name(k), _row_name(k + 1)
+        for i, x in enumerate(lower, start=1):
+            if not upper[i - 1] >= x:
+                problems.append(f"{up}_{i} >= {lo}_{i} fails: {upper[i - 1]} < {x}")
+            if not x >= upper[i]:
+                problems.append(f"{lo}_{i} >= {up}_{i + 1} fails: {x} < {upper[i]}")
+    for name, rows in (("eta", p.eta_rows), ("lambda", p.lambda_rows)):
+        if any(x < 0 for row in rows for x in row):
+            problems.append(f"negative entry in {name} rows")
     return problems
 
 
@@ -132,46 +126,39 @@ def interlacing_rows(upper: tuple) -> Iterator[tuple]:
         *[range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)])
 
 
-def _pattern_rows(j: int, lam_j: tuple) -> Iterator[tuple]:
-    # All (eta_rows, lambda_rows) of a rank-j pattern bounded by lam_j.
-    for eta_j in interlacing_rows(lam_j + (0,)):
-        if j == 1:
-            yield (eta_j,), (lam_j,)
+def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
+    # Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
+    # bounding row, depth-first from the top: ``pending[-1]`` yields the
+    # candidates for row k = n - len(pending) under the current rows above it.
+    top = bounding.lam if isinstance(bounding, DominantWeight) else lambda_tuple(bounding)
+    n = 2 * len(top) - restricted
+    rows, pending = [None] * n, [iter((top,))]
+    while pending:
+        row = next(pending[-1], None)
+        k = n - len(pending)
+        if row is None:
+            pending.pop()
+        elif k:
+            rows[k] = row
+            pending.append(interlacing_rows(row + (0,) if k % 2 else row))
         else:
-            for lam_prev in interlacing_rows(eta_j):
-                for etas, lams in _pattern_rows(j - 1, lam_prev):
-                    yield etas + (eta_j,), lams + (lam_j,)
-
-
-def _as_lambda_tuple(bounding) -> tuple:
-    if isinstance(bounding, DominantWeight):
-        return bounding.lam
-    return lambda_tuple(bounding)
+            rows[0] = row
+            yield PatternC.from_rows(rows)
 
 
 def enumerate_patterns(bounding) -> Iterator[PatternC]:
     """All patterns with the given bounding sequence, each exactly once.
 
     ``bounding`` may be a :class:`DominantWeight` or a weakly decreasing
-    sequence. Rows are generated upward from the bounding row, every row in
+    sequence. Rows are generated downward from the bounding row, every row in
     lexicographic order of its entries, so the stream is deterministic.
     """
-    lam = _as_lambda_tuple(bounding)
-    r = len(lam)
-    for etas, lams in _pattern_rows(r, lam):
-        yield PatternC(r, etas, lams)
+    return _patterns(bounding, False)
 
 
 def enumerate_restricted_patterns(bounding) -> Iterator[PatternC]:
     """All restricted patterns bounded by the weakly decreasing ``bounding``."""
-    eta_r = _as_lambda_tuple(bounding)
-    r = len(eta_r)
-    if r == 1:
-        yield PatternC(1, (eta_r,), ())
-        return
-    for lam_prev in interlacing_rows(eta_r):
-        for etas, lams in _pattern_rows(r - 1, lam_prev):
-            yield PatternC(r, etas + (eta_r,), lams)
+    return _patterns(bounding, True)
 
 
 def differences(p: PatternC) -> dict:
@@ -195,31 +182,25 @@ def differences(p: PatternC) -> dict:
 def reconstruct_pattern(bounding: Sequence[int], gaps: dict) -> PatternC:
     """Rebuild the unique pattern with the given bounding row whose gaps have
     the prescribed first components; inverse of :func:`differences`."""
-    lam = lambda_tuple(bounding)
-    r = len(lam)
-    lambda_rows = [None] * r
-    eta_rows = [None] * r
-    lambda_rows[r - 1] = lam
-    for j in range(r, 0, -1):
-        lam_j = lambda_rows[j - 1]
-        eta_j = tuple(lam_j[i - 1] - gaps[(i, j, True)][0] for i in range(1, j + 1))
-        eta_rows[j - 1] = eta_j
-        if j > 1:
-            lambda_rows[j - 2] = tuple(
-                eta_j[i - 1] - gaps[(i, j - 1, False)][0] for i in range(1, j)
-            )
-    return PatternC(r, tuple(eta_rows), tuple(lambda_rows))
+    rows = [lambda_tuple(bounding)]
+    for k in range(2 * len(rows[0]) - 2, -1, -1):
+        j, barred = _gap_level(k)
+        rows.append(tuple(rows[-1][i] - gaps[(i + 1, j, barred)][0] for i in range(j)))
+    return PatternC.from_rows(rows[::-1])
 
 
 def pattern_weight(p: PatternC) -> WeightVector:
     """Epsilon-coordinates (a_1, ..., a_r) of the pattern, where a_j is twice
-    the eta^j row sum minus the lam^j and lam^{j-1} row sums."""
+    the eta^j row sum minus the lam^j and lam^{j-1} row sums; a restricted
+    pattern reads its bounding row eta^r in place of the missing lam^r."""
     coords = []
     prev_sum = 0
-    for j in range(1, p.rank + 1):
-        lam_sum = sum(p.lambda_rows[j - 1])
-        coords.append(2 * sum(p.eta_rows[j - 1]) - lam_sum - prev_sum)
+    for eta, lam in zip(p.eta_rows, p.lambda_rows):
+        lam_sum = sum(lam)
+        coords.append(2 * sum(eta) - lam_sum - prev_sum)
         prev_sum = lam_sum
+    if len(coords) < p.rank:  # restricted: 2|eta^r| - |eta^r| - |lam^{r-1}|
+        coords.append(sum(p.eta_rows[-1]) - prev_sum)
     return tuple(coords)
 
 
@@ -232,11 +213,28 @@ def pattern_to_json(p: PatternC) -> dict:
     }
 
 
+def _json_field(obj, key: str, kind: type):
+    # obj[key] when obj is a JSON object holding a ``kind`` there.
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple:
+    # A JSON array of integers as a tuple.
+    if type(value) is not list or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def pattern_from_json(obj: dict) -> PatternC:
     """Inverse of :func:`pattern_to_json`; the row counts decide the kind.
-    A pattern that :func:`validate_pattern` rejects is a ValueError."""
-    p = PatternC(int(obj["rank"]), *(
-        tuple(tuple(int(x) for x in row) for row in obj[k]) for k in ("eta", "lambda")))
+    Malformed JSON or a pattern that :func:`validate_pattern` rejects is a
+    ValueError."""
+    p = PatternC(_json_field(obj, "rank", int), *(
+        tuple(_json_ints(row, f"a row of {k!r}") for row in _json_field(obj, k, list))
+        for k in ("eta", "lambda")))
     problems = validate_pattern(p)
     if problems:
         raise ValueError("invalid pattern: " + "; ".join(problems))

@@ -11,7 +11,6 @@ Counts are plain Python integers, so the product formulas never overflow.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -19,6 +18,8 @@ from typing import Iterator, Sequence
 
 from .patterns import (
     PatternC,
+    _json_field,
+    _json_ints,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -41,14 +42,28 @@ Partition = tuple
 FPair = tuple
 
 
-@functools.cache
+class _BoxMemo(dict):
+    # Partition tuples keyed by box (ell, ellp). Only boxes of at most 64
+    # partitions are kept: every pattern asks for the same few small boxes,
+    # and keeping the large ones would grow the memo without bound.
+    def __missing__(self, box):
+        ell, ellp = box
+        if ell < 0 or ellp < 0:
+            raise ValueError("box sides must be non-negative")
+        parts = tuple(itertools.combinations_with_replacement(range(ellp + 1), ell))
+        if len(parts) <= 64:
+            self[box] = parts
+        return parts
+
+
+_BOXES = _BoxMemo()
+
+
 def partitions_in_box(ell: int, ellp: int) -> tuple:
     """Weakly increasing tuples of length ``ell`` with parts at most ``ellp``,
-    in lexicographic order; there are comb(ell + ellp, ell) of them. Memoized,
-    as every pattern asks for the same few boxes."""
-    if ell < 0 or ellp < 0:
-        raise ValueError("box sides must be non-negative")
-    return tuple(itertools.combinations_with_replacement(range(ellp + 1), ell))
+    in lexicographic order; there are comb(ell + ellp, ell) of them. Boxes
+    of at most 64 partitions are memoized."""
+    return _BOXES[ell, ellp]
 
 
 def fits_box(parts: Partition, ell: int, ellp: int) -> bool:
@@ -100,8 +115,10 @@ class PbwMonomial:
 
 
 def _overlays_for(pattern: PatternC) -> Iterator[Pop]:
+    # The memo is read directly: a Python call per box is a measurable share
+    # of character_direct.
     boxes = differences(pattern).values()
-    for combo in itertools.product(*(partitions_in_box(*box) for box in boxes)):
+    for combo in itertools.product(*map(_BOXES.__getitem__, boxes)):
         yield Pop(pattern, combo)
 
 
@@ -189,14 +206,16 @@ def pop_to_json(p: Pop) -> dict:
 def pop_from_json(obj: dict) -> Pop:
     """Inverse of :func:`pop_to_json`. The pattern must be valid and the
     overlays must name exactly its positions, in block order, each with a
-    partition fitting the box there; anything else is a ValueError."""
+    partition fitting the box there; anything else, malformed JSON included,
+    is a ValueError."""
     pattern = pattern_from_json(obj)
-    entries = obj["overlays"]
-    named = tuple((int(e["i"]), int(e["j"]), bool(e["barred"])) for e in entries)
+    entries = _json_field(obj, "overlays", list)
+    named = tuple((_json_field(e, "i", int), _json_field(e, "j", int),
+                   _json_field(e, "barred", bool)) for e in entries)
     if named != pattern.positions:
         raise ValueError(
             f"overlay positions {named} differ from the pattern's {pattern.positions}")
-    overlays = tuple(tuple(int(x) for x in e["parts"]) for e in entries)
+    overlays = tuple(_json_ints(e.get("parts"), "'parts'") for e in entries)
     for pos, parts, box in zip(named, overlays, differences(pattern).values()):
         if not fits_box(parts, *box):
             raise ValueError(f"parts {list(parts)} at {pos} do not fit the box {box}")

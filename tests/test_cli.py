@@ -242,6 +242,39 @@ def test_char_both_beyond_recursion_depth(capsys):
         assert out.strip()
 
 
+def test_pattern_commands_beyond_recursion_depth(capsys):
+    # A chain of 2,200 rows: pattern enumeration must not recurse per row.
+    zeros = ",".join(["0"] * 1100)
+    code, out, err = run_cli(capsys, "patterns", "--omegas", zeros)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1
+    code, out, err = run_cli(capsys, "char", "--method", "direct", "--omegas", zeros)
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def _peak_rss_kb(*argv):
+    # Peak resident set size (VmHWM) of one CLI run in a fresh interpreter, in
+    # KB. ru_maxrss would not do: Linux carries it over from the forking parent.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "from cpops.cli import main\n"
+              f"main({list(argv)!r})\n"
+              "with open('/proc/self/status') as fh: print(fh.read())")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    return int(out.split("VmHWM:")[1].split()[0])
+
+
+def test_large_boxes_are_not_memoized():
+    # rank 1, 18 omega_1: boxes of up to comb(18, 9) = 48,620 partitions.
+    # Memoizing every box grew the peak by about 30 MB over 12 omega_1.
+    grown = _peak_rss_kb("count", "--omegas", "18") - _peak_rss_kb("count", "--omegas", "12")
+    assert grown < 15 * 1024
+
+
 def test_cache_round_trip(tmp_path):
     w = DominantWeight.from_omegas((2,))
     ch = character_direct(w)
@@ -274,7 +307,8 @@ def test_cache_stale_version_misses(tmp_path, capsys):
     w = DominantWeight.from_omegas((2,))
     path = cache_store(str(tmp_path), w.rank, w.lam, "direct",
                        character_direct(w))
-    blob = json.load(open(path))
+    with open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
     blob["version"] = -1
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh)

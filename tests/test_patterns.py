@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cpops.oracle import weyl_dim
@@ -45,6 +47,42 @@ def test_validate_reports_shape_separately():
     malformed = PatternC(2, ((1, 0), (1, 0)), ((1,), (1, 0)))
     problems = validate_pattern(malformed)
     assert problems == ["eta^1 has length 2, expected 1"]
+
+
+def _row_stacks(rank, n_lambda, values):
+    # Every PatternC of the given shape with entries drawn from ``values``.
+    lengths = list(range(1, rank + 1)) + list(range(1, n_lambda + 1))
+    for flat in itertools.product(values, repeat=sum(lengths)):
+        it = iter(flat)
+        rows = [tuple(itertools.islice(it, n)) for n in lengths]
+        yield PatternC(rank, tuple(rows[:rank]), tuple(rows[rank:]))
+
+
+@pytest.mark.parametrize("rank,restricted,values", [
+    (1, False, range(-1, 4)), (1, True, range(-1, 4)), (2, False, range(-1, 3)),
+    (2, True, range(-1, 3)), (3, True, range(-1, 2)), (3, False, range(2))])
+def test_validate_accepts_exactly_the_enumerated_patterns(rank, restricted, values):
+    # Brute force over all row stacks with entries in ``values``: the valid
+    # ones are exactly the patterns enumerated under the bounding rows there.
+    enumerate_kind = enumerate_restricted_patterns if restricted else enumerate_patterns
+    enumerated = set()
+    for bounding in itertools.combinations_with_replacement(
+            range(max(values), -1, -1), rank):
+        enumerated.update(enumerate_kind(bounding))
+    valid = {p for p in _row_stacks(rank, rank - restricted, values)
+             if validate_pattern(p) == []}
+    assert valid == enumerated
+    assert all(len(p.rows) == 2 * rank - restricted for p in valid)
+
+
+def test_rows_are_the_chain():
+    p = PatternC(2, ((1,), (2, 1)), ((1,), (2, 0)))
+    assert p.rows == ((1,), (1,), (2, 1), (2, 0))
+    assert PatternC.from_rows(p.rows) == p
+    restricted = PatternC(2, ((0,), (1, 0)), ((1,),))
+    assert restricted.rows == ((0,), (1,), (1, 0))
+    assert restricted.rows[-1] == restricted.bounding
+    assert PatternC.from_rows(restricted.rows) == restricted
 
 
 def test_enumerate_zero_weight_single_pattern():
@@ -142,6 +180,9 @@ def test_pattern_weight_examples():
     assert pattern_weight(zero_pattern(2)) == (0, 0)
     assert pattern_weight(highest_pattern((1, 0))) == (1, 0)
     assert pattern_weight(PatternC(1, ((0,),), ((2,),))) == (-2,)
+    # a restricted pattern reads its bounding row in place of lambda^r
+    assert pattern_weight(PatternC(1, ((3,),), ())) == (3,)
+    assert pattern_weight(PatternC(2, ((0,), (1, 0)), ((1,),))) == (-1, 0)
 
 
 def test_json_round_trip():
@@ -150,10 +191,22 @@ def test_json_round_trip():
             assert pattern_from_json(pattern_to_json(p)) == p
     for p in enumerate_restricted_patterns((2, 1)):
         assert pattern_from_json(pattern_to_json(p)) == p
-    # outside input: an invalid pattern or a missing row is a ValueError
+    # outside input: an invalid pattern, a missing row or key, a wrong JSON
+    # type or a rank below 1 is a ValueError
     for bad in (
         {"rank": 1, "eta": [[9]], "lambda": [[1]]},
         {"rank": 2, "eta": [[0]], "lambda": [[0], [0, 0]]},
+        {"rank": 1, "lambda": [[1]]},
+        {"eta": [[0]], "lambda": [[1]]},
+        {"rank": 0, "eta": [], "lambda": []},
+        {"rank": -1, "eta": [], "lambda": []},
+        {"rank": "1", "eta": [[0]], "lambda": [[1]]},
+        {"rank": 1, "eta": [0], "lambda": [[1]]},
+        {"rank": 1, "eta": "0", "lambda": [[1]]},
+        {"rank": 1, "eta": [[0.5]], "lambda": [[1]]},
+        {"rank": 1, "eta": [[True]], "lambda": [[1]]},
+        [1, [[0]], [[1]]],
+        None,
     ):
         with pytest.raises(ValueError):
             pattern_from_json(bad)

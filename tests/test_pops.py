@@ -119,8 +119,10 @@ def test_pop_weight_examples():
 
 
 def test_pop_weight_two_formulas_agree_sweep():
+    # full and restricted overlaid patterns: the row formula equals the
+    # bounding weight minus the gap-weighted positive roots
     for w in sweep_dominant_weights(2, 2):
-        for pop in enumerate_pops(w):
+        for pop in itertools.chain(enumerate_pops(w), enumerate_restricted_pops(w.lam)):
             expected = list(w.lam)
             for (i, j, barred), (ell, _) in differences(pop.pattern).items():
                 vec = root_vector(RootLabel(i, j, barred), 2)
@@ -215,9 +217,20 @@ def test_pop_json_round_trip():
         (first, {"overlays": [dict(first["overlays"][0], parts=[1])]}),
         (first, {"eta": [[9]]}),
         (obj, {"eta": [[0]]}),
+        # malformed JSON: a missing key, a wrong type, a non-boolean "barred"
+        (first, {"overlays": None}),
+        (first, {"overlays": [dict(first["overlays"][0], parts=3)]}),
+        (first, {"overlays": [dict(first["overlays"][0], barred="no")]}),
+        (first, {"overlays": [dict(first["overlays"][0], barred=1)]}),
+        (first, {"overlays": [dict(first["overlays"][0], i="1")]}),
+        (first, {"overlays": [[1, 1, True, []]]}),
+        (first, {"rank": 0, "eta": [], "lambda": [], "overlays": []}),
     ):
         with pytest.raises(ValueError):
             pop_from_json(dict(base, **bad))
+    for key in ("overlays", "eta"):
+        with pytest.raises(ValueError):
+            pop_from_json({k: v for k, v in first.items() if k != key})
 
 
 def test_refinement_by_top_block_small():
