@@ -56,8 +56,8 @@ def cache_lookup(
         if obj.get("key") != {"rank": rank, "lambda": list(lam), "method": method}:
             print(f"warning: cache key mismatch ignored: {path}", file=sys.stderr)
             return None
-        return character_from_json(obj["character"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return character_from_json(obj.get("character"))
+    except (OSError, ValueError) as exc:
         print(f"warning: corrupt cache entry ignored: {path} ({exc})",
               file=sys.stderr)
         return None

@@ -18,8 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+from .patterns import _json_field, _json_ints
 from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
-from .rootsys import DominantWeight, RootLabel, root_vector
+from .rootsys import DominantWeight, root_vector
 
 
 def _signed_sum(terms) -> str:
@@ -241,7 +242,7 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
         positions.extend((i, j, False) for i in range(1, j + 1))
         positions.extend((i, j, True) for i in range(1, j + 1))
     index = {pos: k for k, pos in enumerate(positions)}
-    vectors = [[(t, c) for t, c in enumerate(root_vector(RootLabel(*p), r)) if c]
+    vectors = [[(t, c) for t, c in enumerate(root_vector(p, r)) if c]
                for p in positions]
 
     def row(i: int, sign: int, lo_unbarred: int, lo_barred: int) -> list:
@@ -330,10 +331,17 @@ def character_to_json(ch: GradedCharacter) -> dict:
 
 
 def character_from_json(obj: dict) -> GradedCharacter:
-    ch = GradedCharacter(int(obj["rank"]))
-    for term in obj["terms"]:
-        ch.add_term(int(term["grade"]), tuple(int(x) for x in term["weight"]),
-                    int(term["mult"]))
+    """Inverse of :func:`character_to_json`. A missing key, a rank, grade or
+    mult that is not a JSON integer, a weight that is not an array of rank
+    integers, rank < 1 or a negative grade is a ValueError."""
+    rank = _json_field(obj, "rank", int)
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    ch = GradedCharacter(rank)
+    for term in _json_field(obj, "terms", list):
+        ch.add_term(_json_field(term, "grade", int),
+                    _json_ints(_json_field(term, "weight", list), "'weight'"),
+                    _json_field(term, "mult", int))
     return ch
 
 

@@ -40,7 +40,7 @@ from .pops import (
     pop_to_json,
     restricted_pop_count_formula,
 )
-from .rootsys import DominantWeight, sweep_dominant_weights
+from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 
 CACHE_ENV_VAR = "CPOPS_CACHE_DIR"
 
@@ -144,8 +144,8 @@ def cmd_patterns(args, parser) -> int:
 
 
 def _pop_text(p) -> str:
-    overlays = {f"({i},{j}{'~' if barred else ''})": list(parts)
-                for (i, j, barred), parts in zip(p.pattern.positions, p.overlays)}
+    overlays = {label_text(pos): list(parts)
+                for pos, parts in zip(p.pattern.positions, p.overlays)}
     return _pattern_text(p.pattern) + f" overlays={json.dumps(overlays, sort_keys=True)}"
 
 

@@ -74,7 +74,9 @@ def _row_name(k: int) -> str:
     return f"{'lambda' if k % 2 else 'eta'}^{k // 2 + 1}"
 
 
-@functools.cache
+# A command reads at most three (rank, kind) keys: verify reads (r, full),
+# (r, restricted) and (r - 1, full). Bounding the memo frees large ranks.
+@functools.lru_cache(maxsize=4)
 def overlay_positions(rank: int, *, restricted: bool = False) -> tuple:
     """Overlay positions (i, j, barred) in word-block order: for each level
     j < rank the barred block then the unbarred block, then for full patterns

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -30,9 +31,10 @@ from .patterns import (
 )
 from .rootsys import (
     DominantWeight,
-    RootLabel,
     WeightVector,
+    label_text,
     lambda_to_omegas,
+    positive_root_labels,
     root_vector,
 )
 
@@ -99,7 +101,8 @@ class Pop:
 
 @dataclass(frozen=True)
 class PbwMonomial:
-    """Ordered word of (root label, t-exponent) factors."""
+    """Ordered word of (label, s) factors x-_alpha (x) t^s; each label is a gap
+    position (i, j, barred), the plain tuple naming the positive root alpha."""
 
     factors: tuple
 
@@ -111,7 +114,7 @@ class PbwMonomial:
         """Space-separated factors "x-(i,j~)@t^s"; the empty word prints "1"."""
         if not self.factors:
             return "1"
-        return " ".join(f"x-{label.text()}@t^{t}" for label, t in self.factors)
+        return " ".join(f"x-{label_text(label)}@t^{t}" for label, t in self.factors)
 
 
 def _overlays_for(pattern: PatternC) -> Iterator[Pop]:
@@ -165,13 +168,21 @@ def pop_weight(p: Pop) -> WeightVector:
     return pattern_weight(p.pattern)
 
 
+@lru_cache(maxsize=1)
+def _root_table(rank: int) -> dict:
+    # Root vectors keyed by RootLabel; plain position tuples look them up,
+    # since a RootLabel equals its tuple.
+    return {label: root_vector(label, rank) for label in positive_root_labels(rank)}
+
+
 def _weight_by_roots(pattern: PatternC) -> WeightVector:
     # Bounding weight minus the gap-weighted sum of positive roots; must
     # equal pattern_weight(pattern).
     r = pattern.rank
+    roots = _root_table(r)
     acc = list(pattern.bounding)
-    for (i, j, barred), (ell, _) in differences(pattern).items():
-        vec = root_vector(RootLabel(i, j, barred), r)
+    for pos, (ell, _) in differences(pattern).items():
+        vec = roots[pos]
         for t in range(r):
             acc[t] -= ell * vec[t]
     return tuple(acc)
@@ -187,9 +198,8 @@ def pop_monomial(p: Pop) -> PbwMonomial:
     per partition part, the part giving the t-exponent. The total t-degree
     equals the box count of the overlay."""
     factors = []
-    for (i, j, barred), parts in zip(p.pattern.positions, p.overlays):
-        label = RootLabel(i, j, barred)
-        factors.extend((label, t) for t in parts)
+    for pos, parts in zip(p.pattern.positions, p.overlays):
+        factors.extend((pos, t) for t in parts)
     return PbwMonomial(tuple(factors))
 
 
@@ -225,8 +235,8 @@ def pop_from_json(obj: dict) -> Pop:
 def monomial_to_json(m: PbwMonomial) -> dict:
     return {
         "factors": [
-            {"i": label.i, "j": label.j, "barred": label.barred, "t": t}
-            for label, t in m.factors
+            {"i": i, "j": j, "barred": barred, "t": t}
+            for (i, j, barred), t in m.factors
         ],
         "degree": m.t_degree,
     }

@@ -1,7 +1,8 @@
 """Root system of sp_{2r}: coordinates, positive roots, and the pairing.
 
-Weights are plain tuples of signed integers holding epsilon-coordinates, so
-they hash, compare, and serialize with no ceremony. A dominant weight carries
+Weights are plain tuples of signed integers holding epsilon-coordinates, and
+root labels plain (i, j, barred) tuples, so they hash, compare, and serialize
+with no ceremony; a ``RootLabel`` is such a tuple. A dominant weight carries
 both its fundamental-weight multiplicities (m_1, ..., m_r) and the weakly
 decreasing tuple of suffix sums, which doubles as its epsilon-coordinate
 vector.
@@ -10,6 +11,7 @@ vector.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -86,33 +88,25 @@ class DominantWeight:
         return self.lam
 
 
-@dataclass(frozen=True)
-class RootLabel:
-    """Label (i, j, barred) of a positive root of sp_{2r}.
-
-    Unbarred (i, j) requires i <= j < rank; barred (i, j) requires
+class RootLabel(namedtuple("RootLabel", "i j barred")):
+    """Label (i, j, barred) of a positive root of sp_{2r}, equal to its plain
+    tuple. Unbarred (i, j) requires i <= j < rank; barred (i, j) requires
     i <= j <= rank. The unbarred label with j = rank is rejected because that
-    root coincides with its barred twin.
+    root coincides with its barred twin; :func:`root_vector` checks the rank.
     """
 
-    i: int
-    j: int
-    barred: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i < 1 or self.j < self.i:
-            raise ValueError(f"need 1 <= i <= j, got i={self.i}, j={self.j}")
+    def __new__(cls, i: int, j: int, barred: bool):
+        if i < 1 or j < i:
+            raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
+        return super().__new__(cls, i, j, barred)
 
-    def validate_for_rank(self, rank: int) -> None:
-        if self.j > rank:
-            raise ValueError(f"label {self} out of range for rank {rank}")
-        if not self.barred and self.j >= rank:
-            raise ValueError(
-                f"unbarred label requires j < rank, got j={self.j}, rank={rank}"
-            )
 
-    def text(self) -> str:
-        return f"({self.i},{self.j}{'~' if self.barred else ''})"
+def label_text(label) -> str:
+    """Root label (i, j, barred) as "(i,j)", or "(i,j~)" when barred."""
+    i, j, barred = label
+    return f"({i},{j}{'~' if barred else ''})"
 
 
 def simple_root(k: int, rank: int) -> WeightVector:
@@ -128,19 +122,21 @@ def simple_root(k: int, rank: int) -> WeightVector:
     return tuple(v)
 
 
-def root_vector(label: RootLabel, rank: int) -> WeightVector:
-    """Epsilon-expansion of the positive root named by ``label``.
+def root_vector(label, rank: int) -> WeightVector:
+    """Epsilon-expansion of the positive root labelled (i, j, barred).
 
     Computed by summing consecutive simple roots: indices i..j for the
     unbarred root, and i..rank followed by rank-1 down to j for the barred
     one. The telescoped closed forms are eps_i - eps_{j+1} (unbarred),
     eps_i + eps_j (barred, i < j), and 2*eps_i (barred, i = j).
     """
-    label.validate_for_rank(rank)
-    if label.barred:
-        path = list(range(label.i, rank + 1)) + list(range(rank - 1, label.j - 1, -1))
+    i, j, barred = label
+    if not 1 <= i <= j <= (rank if barred else rank - 1):
+        raise ValueError(f"label {label_text(label)} is no positive root of rank {rank}")
+    if barred:
+        path = list(range(i, rank + 1)) + list(range(rank - 1, j - 1, -1))
     else:
-        path = list(range(label.i, label.j + 1))
+        path = list(range(i, j + 1))
     v = [0] * rank
     for k in path:
         a = simple_root(k, rank)

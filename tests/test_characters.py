@@ -202,6 +202,30 @@ def test_character_json_round_trip():
         assert character_from_json(json.loads(blob)) == ch
 
 
+@pytest.mark.parametrize("obj", [
+    {"rank": 2, "terms": [{"grade": 1.5, "weight": "12", "mult": True}]},
+    {"rank": 2, "terms": [{"grade": 1.5, "weight": [1, 2], "mult": 1}]},
+    {"rank": 2, "terms": [{"grade": 1, "weight": "12", "mult": 1}]},
+    {"rank": 2, "terms": [{"grade": 1, "weight": [1, 2], "mult": True}]},
+    {"rank": 2, "terms": [{"grade": 1, "weight": [1, 2]}]},
+    {"rank": 2, "terms": [{"weight": [1, 2], "mult": 1}]},
+    {"rank": 2, "terms": [{"grade": 1, "weight": [1, 2.0], "mult": 1}]},
+    {"rank": 2, "terms": [{"grade": 1, "weight": [1], "mult": 1}]},
+    {"rank": 2, "terms": [{"grade": -1, "weight": [1, 2], "mult": 1}]},
+    {"rank": 2, "terms": [[1, [1, 2], 1]]},
+    {"rank": 2, "terms": {"grade": 1}},
+    {"rank": "2", "terms": []},
+    {"rank": 0, "terms": []},
+    {"terms": []},
+    {"rank": 2},
+    [],
+    None,
+])
+def test_character_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        character_from_json(obj)
+
+
 def test_render_formats_smoke():
     ch = character_direct(DominantWeight.from_omegas((2,)))
     assert character_to_text(ch) == "e^{2ε1} + (1+q)·1 + e^{-2ε1}"

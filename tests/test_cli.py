@@ -290,7 +290,12 @@ def test_cache_unknown_key_misses(tmp_path):
 def test_cache_corrupt_entry_warns_and_misses(tmp_path, capsys):
     w = DominantWeight.from_omegas((2,))
     fresh = run_cli(capsys, "char", "--omegas", "2")[1]
-    for content in ("not json at all", "[]", "null", '{"version": 1, "key": []}'):
+    entry = json.loads(Path(cache_store(str(tmp_path), w.rank, w.lam, "direct",
+                                        character_direct(w))).read_text())
+    entry["character"]["terms"][1]["grade"] = 1.9  # once read as grade 1, a hit
+    tampered = json.dumps(entry)
+    for content in ("not json at all", "[]", "null", '{"version": 1, "key": []}',
+                    tampered):
         path = cache_store(str(tmp_path), w.rank, w.lam, "direct",
                            character_direct(w))
         with open(path, "w", encoding="utf-8") as fh:
@@ -366,13 +371,16 @@ def test_benchmark_patch_targets_exist(tmp_path):
 
 def test_benchmark_char_digests_match(capsys):
     # The benchmark counts a stdout digest mismatch as a failed invocation;
-    # the same check runs here in-process on every recorded char key.
+    # the same check runs here in-process.
     path = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
     if not path.is_file():
         pytest.skip("perfbench/ is not present")
     digests = json.loads(path.read_text())
+    # Every char key, and the first key of each stream rung of stream-pops.
     keys = [key for key in digests if key.startswith("char ")]
     assert keys
+    keys += ["pops --format json --omegas 1,1,2", "pops --format text --omegas 2,1,1",
+             "monomials --omegas 2,1,1", "pops --restricted --format json --omegas 1,1,0,1"]
     for key in keys:
         assert cli.main(key.split()) == 0, key
         out = capsys.readouterr().out

@@ -158,6 +158,7 @@ def test_pop_monomial_single_unbarred_factor():
         if d[(1, 1, False)][0] == 1:
             word = pop_monomial(pop)
             assert word.factors == ((RootLabel(1, 1, False), 0),)
+            assert type(word.factors[0][0]) is tuple  # the position itself
             return
     pytest.fail("expected pattern not enumerated")
 
@@ -190,6 +191,16 @@ def test_overlay_positions_block_order():
         (1, 1, True), (1, 1, False), (1, 2, True), (2, 2, True),
     )
     assert overlay_positions(2, restricted=True) == ((1, 1, True), (1, 1, False))
+    assert all(type(pos) is tuple for pos in overlay_positions(3))
+
+
+def test_overlay_positions_memo_is_bounded():
+    # A rank of 1,100 holds 1,210,000 position tuples; the memo must let
+    # them go once later ranks push the key out.
+    overlay_positions(1100)
+    for rank in (1, 2, 3, 4):
+        overlay_positions(rank)
+    assert overlay_positions.cache_info().currsize <= 4
 
 
 def test_pop_json_round_trip():

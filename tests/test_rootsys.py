@@ -6,6 +6,7 @@ from cpops.rootsys import (
     DominantWeight,
     RootLabel,
     inner,
+    label_text,
     lambda_to_omegas,
     omegas_to_lambda,
     positive_root_labels,
@@ -60,6 +61,7 @@ def test_root_vector_examples():
     assert root_vector(RootLabel(1, 1, True), 1) == (2,)
     assert root_vector(RootLabel(1, 1, False), 2) == (1, -1)
     assert root_vector(RootLabel(1, 2, True), 3) == (1, 1, 0)
+    assert root_vector((1, 2, True), 3) == (1, 1, 0)  # any (i, j, barred) tuple
 
 
 def test_root_label_validation():
@@ -69,6 +71,19 @@ def test_root_label_validation():
         root_vector(RootLabel(1, 2, False), 2)  # unbarred needs j < rank
     with pytest.raises(ValueError):
         root_vector(RootLabel(1, 3, True), 2)
+    for bad, rank in [((1, 2, False), 2), ((2, 1, True), 3), ((0, 1, True), 2),
+                      ((1, 3, True), 2), ((1, 1, True), 0)]:
+        with pytest.raises(ValueError):
+            root_vector(bad, rank)
+
+
+def test_root_label_is_its_tuple():
+    label = RootLabel(1, 2, True)
+    assert label == (1, 2, True) and hash(label) == hash((1, 2, True))
+    assert (label.i, label.j, label.barred) == (1, 2, True)
+    assert {(1, 2, True): "x"}[label] == "x"
+    assert label_text(label) == label_text((1, 2, True)) == "(1,2~)"
+    assert label_text((2, 3, False)) == "(2,3)"
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
