@@ -8,6 +8,7 @@ report; failures become report entries with witnesses, never exceptions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -81,11 +82,11 @@ def weyl_filtration(lam: DominantWeight) -> list:
     return terms
 
 
-def shtepin_branch_v(lam: DominantWeight) -> list:
+def shtepin_branch_v(lam) -> list:
     """Bounding sequences of the intermediate-algebra constituents of the
     irreducible module: all integer tuples eta with lam_i >= eta_i >= lam_{i+1}
     (lam_{r+1} = 0), each exactly once."""
-    return list(interlacing_rows(lam.lam + (0,)))
+    return list(interlacing_rows(lambda_tuple(lam) + (0,)))
 
 
 def shtepin_branch_l(eta) -> list:
@@ -139,10 +140,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _pattern_count(lam_tuple) -> int:
-    return sum(1 for _ in enumerate_patterns(lam_tuple)) if lam_tuple else 1
-
-
 def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
     # The first sorted key where the two maps differ, or None when equal.
     for key in sorted(set(a) | set(b)):
@@ -156,8 +153,9 @@ def _refinement_by_top_block(pops, omegas: tuple, top: tuple, lower) -> tuple:
     # overlays of the block between the top row and the row under it,
     # ``rows[-2]`` (the final barred block of a full pattern, the top unbarred
     # block of a restricted one: the last len(omegas) positions). The groups
-    # must be exactly the block choices for ``omegas``, each the size of the
-    # ``lower`` enumeration one half-step down that the choice bounds.
+    # must be exactly the block choices for ``omegas``, each of the size
+    # ``lower(target)``: the count one half-step down, under the row
+    # ``target`` that the choice bounds.
     # Returns (groups, expected, witness).
     groups = Counter()
     for pop in pops:
@@ -167,7 +165,7 @@ def _refinement_by_top_block(pops, omegas: tuple, top: tuple, lower) -> tuple:
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
         ells, parts = zip(*combo)
         target = tuple(t - ell for t, ell in zip(top, ells))
-        expected[(ells, parts)] = sum(1 for _ in lower(target))
+        expected[(ells, parts)] = lower(target)
     return len(groups), len(expected), _diff_witness(groups, expected, "block")
 
 
@@ -180,6 +178,12 @@ def verify_identities(lam: DominantWeight) -> Report:
     def check(name, lhs, rhs, witness=None):
         status = "ok" if lhs == rhs and witness is None else "fail"
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
+
+    @functools.cache
+    def count(stream, row) -> int:
+        # Length of stream(row), walked once per call; the empty row bounds
+        # the one rank-0 pattern.
+        return sum(1 for _ in stream(row)) if row else 1
 
     n_patterns = 0
     weights_agree = 0
@@ -208,7 +212,8 @@ def verify_identities(lam: DominantWeight) -> Report:
           sum(table.values()), _diff_witness(zero_slice, table, "weight"))
 
     check("pop-refinement-by-top-block", *_refinement_by_top_block(
-        enumerate_pops(lam), lam.omegas, lam.lam, enumerate_restricted_pops))
+        enumerate_pops(lam), lam.omegas, lam,
+        functools.partial(count, enumerate_restricted_pops)))
 
     etas = shtepin_branch_v(lam)
     if r >= 2:
@@ -216,7 +221,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         for eta in etas:
             witness = _refinement_by_top_block(
                 enumerate_restricted_pops(eta), lambda_to_omegas(eta)[:-1], eta,
-                enumerate_pops)[2]
+                functools.partial(count, enumerate_pops))[2]
             if witness:
                 bad = f"eta={eta}: {witness}"
                 break
@@ -225,13 +230,13 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(
             CheckResult("restricted-refinement-by-top-block", "skipped"))
 
-    restricted_counts = [
-        sum(1 for _ in enumerate_restricted_patterns(eta)) for eta in etas]
-    check("irreducible-dim-vs-intermediate-sum", n_patterns, sum(restricted_counts))
+    check("irreducible-dim-vs-intermediate-sum", n_patterns,
+          sum(count(enumerate_restricted_patterns, eta) for eta in etas))
 
     bad = None
-    for eta, lhs in zip(etas, restricted_counts):
-        rhs = sum(_pattern_count(nu) for nu in shtepin_branch_l(eta))
+    for eta in etas:
+        lhs = count(enumerate_restricted_patterns, eta)
+        rhs = sum(count(enumerate_patterns, nu) for nu in shtepin_branch_l(eta))
         if lhs != rhs:
             bad = f"eta={eta}: {lhs} vs {rhs}"
             break
@@ -239,10 +244,7 @@ def verify_identities(lam: DominantWeight) -> Report:
 
     if r >= 2:
         terms = weyl_filtration(lam)
-        booked = sum(
-            term.mult * pop_count_formula(DominantWeight.from_lambdas(term.target))
-            for term in terms
-        )
+        booked = sum(term.mult * pop_count_formula(term.target) for term in terms)
         check("weyl-filtration-dimension", booked, formula)
 
         lhs = restrict_drop_last(specialize_q1(direct))
@@ -251,7 +253,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         for term in terms:
             if term.target not in cache:
                 cache[term.target] = specialize_q1(
-                    character_direct(DominantWeight.from_lambdas(term.target)))
+                    character_direct(DominantWeight(term.target)))
             rhs.merge(cache[term.target], scale=term.mult)
         check("ungraded-restriction-character", total_dim(lhs), total_dim(rhs),
               _diff_witness(lhs.terms, rhs.terms, "term"))

@@ -3,8 +3,9 @@
 Entries are JSON files named by the SHA-256 of the cache key (rank, lambda
 tuple, method, format version). A hit deserializes to a character equal to
 the recomputation, so rendering from cache is byte-identical. Unreadable or
-mismatched entries are misses with a warning on stderr; the format version
-bumps whenever the serialized schema changes.
+mismatched entries, a stored character of another rank among them, are misses
+with a warning on stderr; the format version bumps whenever the serialized
+schema changes.
 """
 
 from __future__ import annotations
@@ -53,10 +54,13 @@ def cache_lookup(
         if obj.get("version") != CACHE_FORMAT_VERSION:
             print(f"warning: stale cache entry ignored: {path}", file=sys.stderr)
             return None
-        if obj.get("key") != {"rank": rank, "lambda": list(lam), "method": method}:
+        ch = None
+        if obj.get("key") == {"rank": rank, "lambda": list(lam), "method": method}:
+            ch = character_from_json(obj.get("character"))
+        if ch is None or ch.rank != rank:
             print(f"warning: cache key mismatch ignored: {path}", file=sys.stderr)
             return None
-        return character_from_json(obj.get("character"))
+        return ch
     except (OSError, ValueError) as exc:
         print(f"warning: corrupt cache entry ignored: {path} ({exc})",
               file=sys.stderr)

@@ -236,7 +236,7 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     convention and are skipped. A forced position, whose top argument is 0,
     is passed over without a call. The result equals :func:`character_direct`.
     """
-    r = lam.rank
+    r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
     positions = [(i, r, True) for i in range(1, r + 1)]
     for j in range(r - 1, 0, -1):
         positions.extend((i, j, False) for i in range(1, j + 1))
@@ -257,12 +257,12 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
         lo = j if barred else j + 1
         terms = row(i, -1, lo, j + 1)
         if barred and i == j:
-            tops.append((lam.lam[i - 1], terms))
+            tops.append((lam_t[i - 1], terms))
         else:
-            tops.append((lam.omegas[i - 1], row(i + 1, 1, lo, j + 1) + terms))
+            tops.append((omegas[i - 1], row(i + 1, 1, lo, j + 1) + terms))
 
     entries = [0] * len(positions)
-    weight = list(lam.lam)  # each node undoes its own root subtractions
+    weight = list(lam_t)  # each node undoes its own root subtractions
     ch = GradedCharacter(r)
 
     def walk(k: int, poly: QPolynomial) -> None:

@@ -67,7 +67,7 @@ def _resolve_weight(args, parser: argparse.ArgumentParser) -> DominantWeight:
             weight = DominantWeight.from_omegas(
                 _parse_int_tuple(args.omegas, parser, "--omegas"))
         else:
-            weight = DominantWeight.from_lambdas(
+            weight = DominantWeight(
                 _parse_int_tuple(args.lambdas, parser, "--lambdas"))
     except ValueError as exc:
         parser.error(str(exc))

@@ -26,7 +26,7 @@ def weyl_dim(lam: DominantWeight) -> int:
     evaluated exactly."""
     r = lam.rank
     rho = _rho(r)
-    shifted = tuple(a + b for a, b in zip(lam.eps, rho))
+    shifted = tuple(a + b for a, b in zip(lam.lam, rho))
     num = 1
     den = 1
     for alpha in positive_roots(r):
@@ -81,7 +81,7 @@ def dominant_weights_below(lam: DominantWeight) -> list:
     combination of simple roots, ordered compatibly with dominance (the
     combination's coefficient sum ascending, ties broken lexicographically)."""
     r = lam.rank
-    top = lam.eps
+    top = lam.lam
     found = []
     for mu in itertools.combinations_with_replacement(range(top[0], -1, -1), r):
         coords = positive_root_coordinates(tuple(a - b for a, b in zip(top, mu)))
@@ -97,7 +97,7 @@ def freudenthal_character(lam: DominantWeight) -> dict:
     epsilon-coordinates. Computed by Freudenthal's recursion, seeded with
     multiplicity 1 at the top; the total equals :func:`weyl_dim`."""
     r = lam.rank
-    top = lam.eps
+    top = lam.lam
     rho = _rho(r)
     roots = positive_roots(r)
     top_norm = inner(top, top)

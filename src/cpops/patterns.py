@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .rootsys import DominantWeight, WeightVector, lambda_tuple
+from .rootsys import WeightVector, lambda_tuple
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
     # Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
     # bounding row, depth-first from the top: ``pending[-1]`` yields the
     # candidates for row k = n - len(pending) under the current rows above it.
-    top = bounding.lam if isinstance(bounding, DominantWeight) else lambda_tuple(bounding)
+    top = lambda_tuple(bounding)
     n = 2 * len(top) - restricted
     rows, pending = [None] * n, [iter((top,))]
     while pending:
@@ -151,8 +151,8 @@ def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
 def enumerate_patterns(bounding) -> Iterator[PatternC]:
     """All patterns with the given bounding sequence, each exactly once.
 
-    ``bounding`` may be a :class:`DominantWeight` or a weakly decreasing
-    sequence. Rows are generated downward from the bounding row, every row in
+    ``bounding`` is any lambda tuple (a :class:`DominantWeight` is one).
+    Rows are generated downward from the bounding row, every row in
     lexicographic order of its entries, so the stream is deterministic.
     """
     return _patterns(bounding, False)

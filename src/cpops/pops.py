@@ -30,7 +30,6 @@ from .patterns import (
     pattern_weight,
 )
 from .rootsys import (
-    DominantWeight,
     WeightVector,
     label_text,
     lambda_to_omegas,
@@ -150,9 +149,11 @@ def _count_product(n: int, omegas: Sequence[int]) -> int:
     return out
 
 
-def pop_count_formula(lam: DominantWeight) -> int:
-    """Product over i of (comb(2r, i) - comb(2r, i-2)) ** m_i."""
-    return _count_product(2 * lam.rank, lam.omegas)
+def pop_count_formula(lam: Sequence[int]) -> int:
+    """Product over i of (comb(2r, i) - comb(2r, i-2)) ** m_i with
+    m_i = lam_i - lam_{i+1} and lam_{r+1} = 0."""
+    m = lambda_to_omegas(lam)
+    return _count_product(2 * len(m), m)
 
 
 def restricted_pop_count_formula(eta: Sequence[int]) -> int:

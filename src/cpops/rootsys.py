@@ -2,17 +2,15 @@
 
 Weights are plain tuples of signed integers holding epsilon-coordinates, and
 root labels plain (i, j, barred) tuples, so they hash, compare, and serialize
-with no ceremony; a ``RootLabel`` is such a tuple. A dominant weight carries
-both its fundamental-weight multiplicities (m_1, ..., m_r) and the weakly
-decreasing tuple of suffix sums, which doubles as its epsilon-coordinate
-vector.
+with no ceremony; a ``RootLabel`` is such a tuple. A ``DominantWeight`` is its
+weakly decreasing epsilon-coordinate tuple lam, the suffix sums of its
+fundamental-weight multiplicities (m_1, ..., m_r), which it derives.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 # A weight in epsilon-coordinates: tuple of `rank` signed integers.
@@ -49,43 +47,33 @@ def lambda_to_omegas(lam: Sequence[int]) -> tuple:
     return tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
 
 
-@dataclass(frozen=True)
-class DominantWeight:
-    """Dominant integral weight of sp_{2r}, held in both coordinate systems.
-
-    ``omegas`` is the tuple of fundamental-weight multiplicities and ``lam``
-    the weakly decreasing tuple of suffix sums. ``lam`` is simultaneously the
-    epsilon-coordinate vector of the weight.
+class DominantWeight(tuple):
+    """Dominant integral weight of sp_{2r}: its lambda tuple (lam_1, ..., lam_r),
+    checked by :func:`lambda_tuple` and equal to that tuple, which is also the
+    epsilon-coordinate vector of the weight. ``rank``, the plain tuple ``lam``
+    and the fundamental-weight multiplicities ``omegas`` are read from it;
+    ``omegas`` is recomputed on each access, so read it once per call.
     """
 
-    rank: int
-    omegas: tuple
-    lam: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be a positive integer")
-        if len(self.omegas) != self.rank or len(self.lam) != self.rank:
-            raise ValueError("coordinate tuples must have length equal to rank")
-        if any(m < 0 for m in self.omegas):
-            raise ValueError(f"omega coordinates must be non-negative: {self.omegas}")
-        if omegas_to_lambda(self.omegas) != self.lam:
-            raise ValueError("omega and lambda coordinates are inconsistent")
+    def __new__(cls, lam: Sequence[int]):
+        return super().__new__(cls, lambda_tuple(lam))
 
     @classmethod
     def from_omegas(cls, m: Sequence[int]) -> "DominantWeight":
         m = tuple(int(x) for x in m)
-        return cls(len(m), m, omegas_to_lambda(m))
+        if any(x < 0 for x in m):
+            raise ValueError(f"omega coordinates must be non-negative: {m}")
+        return cls(omegas_to_lambda(m))
 
     @classmethod
     def from_lambdas(cls, lam: Sequence[int]) -> "DominantWeight":
-        lam = tuple(int(x) for x in lam)
-        return cls(len(lam), lambda_to_omegas(lam), lam)
+        return cls(lam)
 
-    @property
-    def eps(self) -> WeightVector:
-        """Epsilon-coordinates of the weight (equal to the lambda tuple)."""
-        return self.lam
+    rank = property(len)
+    lam = property(tuple)
+    omegas = property(lambda_to_omegas)
 
 
 class RootLabel(namedtuple("RootLabel", "i j barred")):

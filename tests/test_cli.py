@@ -208,11 +208,25 @@ def test_usage_error_bad_weight(capsys):
     assert exc.value.code == 2
 
 
+# Inputs whose usage error must carry a specific message.
+BAD_INPUT_MESSAGES = {
+    ("dim", "--omegas", "-1"): "omega coordinates must be non-negative",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--rank", "0", "--max-total", "1"],
     ["verify", "--rank", "-1"],
     ["verify", "--rank", "2", "--max-total", "-1"],
     ["verify", "--rank", "2", "--max-total", "100000000000000000000"],
+    ["dim", "--omegas", "-1"],
+    ["char", "--lambdas", "1,2"],
+    ["pops", "--lambdas", "-1"],
+    ["count", "--omegas", "1,,2"],
+    ["verify", "--omegas", ""],
+    ["monomials", "--omegas", "1", "--lambdas", "1"],
+    ["patterns", "--rank", "2", "--lambdas", "1"],
+    ["branch", "--kind", "filtration", "--omegas", "1"],
 ])
 def test_usage_error_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -221,6 +235,7 @@ def test_usage_error_bad_input(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert BAD_INPUT_MESSAGES.get(tuple(argv), "") in err
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
@@ -294,8 +309,10 @@ def test_cache_corrupt_entry_warns_and_misses(tmp_path, capsys):
                                         character_direct(w))).read_text())
     entry["character"]["terms"][1]["grade"] = 1.9  # once read as grade 1, a hit
     tampered = json.dumps(entry)
+    entry["character"] = {"rank": 2, "terms": [{"grade": 0, "weight": [5, 5], "mult": 3}]}
+    other_rank = json.dumps(entry)  # once a hit printing (3)·e^{5ε1+5ε2}
     for content in ("not json at all", "[]", "null", '{"version": 1, "key": []}',
-                    tampered):
+                    tampered, other_rank):
         path = cache_store(str(tmp_path), w.rank, w.lam, "direct",
                            character_direct(w))
         with open(path, "w", encoding="utf-8") as fh:

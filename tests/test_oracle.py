@@ -51,7 +51,7 @@ def test_dominant_weights_below_examples():
 def test_dominant_weights_below_is_dominance_compatible():
     w = DominantWeight.from_omegas((1, 1, 0))
     below = dominant_weights_below(w)
-    assert below[0] == w.eps
+    assert below[0] == w.lam
     for earlier_index, mu in enumerate(below):
         for nu in below[earlier_index + 1 :]:
             # nothing later may dominate an earlier entry strictly
@@ -108,7 +108,7 @@ def _signed_permutation_images(weight):
 
 
 def test_signed_orbit_matches_all_signed_permutations():
-    weights = [w.eps for r in range(1, 6) for w in sweep_dominant_weights(r, 2)]
+    weights = [w.lam for r in range(1, 6) for w in sweep_dominant_weights(r, 2)]
     weights += [(0, -2, 1), (3, -3, 0, 3), (1, 1, 1, 0, 0, 0)]
     for weight in weights:
         orbit = signed_orbit(weight)
