@@ -197,7 +197,7 @@ def verify_identities(lam: DominantWeight) -> Report:
             weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
-    # Every enumerated overlaid pattern adds 1 to the direct character.
+    # The direct character counts every overlaid pattern once.
     direct = character_direct(lam)
     formula = pop_count_formula(lam)
     check("pop-count-vs-product-formula", total_dim(direct), formula)

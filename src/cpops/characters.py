@@ -1,11 +1,17 @@
 """Exact q-series arithmetic and graded characters, computed two ways.
 
 A graded character is a finitely supported integer map from (grade, weight)
-pairs, the weight in epsilon-coordinates. ``character_direct`` accumulates it
-by walking every overlaid pattern; ``character_fermionic`` evaluates it as a
-lattice sum of Gaussian-binomial products over gap arrays, touching none of
-the pattern machinery. The two must agree exactly, which is the package's
-central cross-check.
+pairs, the weight in epsilon-coordinates. Each graded piece of a local Weyl
+module is an sp(2r)-module, so its character is invariant under signed
+permutations of the coordinates and is fixed by its dominant weights. Both
+methods compute only that dominant part: ``dominant_character_direct`` sums
+box generating functions over the patterns of dominant weight, and
+``dominant_character_fermionic`` evaluates a lattice sum of Gaussian-binomial
+products over gap arrays, touching none of the pattern machinery. Each walk
+cuts a branch once a coordinate it has fixed breaks dominance.
+``character_direct`` and ``character_fermionic`` expand the dominant part to
+the full character with :func:`expand_dominant`. The two must agree exactly,
+which is the package's central cross-check.
 
 Gaussian binomials use the zero convention out of range: the polynomial is
 zero whenever the bottom index exceeds the top or the top is negative. Under
@@ -18,8 +24,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .patterns import _json_field, _json_ints
-from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
+from . import oracle
+from .patterns import (
+    _json_field,
+    _json_ints,
+    differences,
+    enumerate_dominant_patterns,
+    pattern_weight,
+)
+# enumerate_pops, pop_boxes and pop_weight are imported only so that
+# perfbench/traced.py can wrap them under this module's name.
+from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight  # noqa: F401
 from .rootsys import DominantWeight, root_vector
 
 
@@ -131,17 +146,29 @@ def q_binomial(n: int, s: int) -> QPolynomial:
 
     Zero polynomial when s < 0, n < 0, or s > n; otherwise a polynomial with
     non-negative coefficients, degree s*(n-s), and value comb(n, s) at q = 1.
+    Built without recursion from [m, 0] = 1, m = n - max(s, n - s): step t
+    multiplies [m + t - 1, t - 1] by 1 - q^(m+t) and divides exactly by 1 - q^t.
     """
     if s < 0 or n < 0 or s > n:
         return QPolynomial.zero()
-    if s == 0 or s == n:
-        return QPolynomial.one()
-    return q_binomial(n - 1, s - 1) + QPolynomial.q_power(s) * q_binomial(n - 1, s)
+    s = min(s, n - s)
+    m = n - s
+    coeffs = [1]
+    for t in range(1, s + 1):
+        coeffs += [0] * (m + t)
+        for e in range(len(coeffs) - 1, m + t - 1, -1):
+            coeffs[e] -= coeffs[e - m - t]
+        for e in range(t, len(coeffs)):
+            coeffs[e] += coeffs[e - t]
+        del coeffs[t * m + 1:]
+    return QPolynomial(dict(enumerate(coeffs)))
 
 
+@lru_cache(maxsize=None)
 def box_generating_function(ell: int, ellp: int) -> QPolynomial:
     """Sum of q**|s| over the partitions fitting the box (ell, ellp), computed
-    by direct enumeration; equals q_binomial(ell + ellp, ell)."""
+    by direct enumeration and memoized per box; equals q_binomial(ell + ellp,
+    ell)."""
     coeffs = {}
     for parts in partitions_in_box(ell, ellp):
         size = sum(parts)
@@ -211,17 +238,48 @@ class GradedCharacter:
         return f"GradedCharacter(rank={self.rank}, terms={len(self.terms)})"
 
 
-def character_direct(lam: DominantWeight) -> GradedCharacter:
-    """Graded character accumulated over every overlaid pattern: each one
-    contributes its weight at the grade given by its box count."""
-    ch = GradedCharacter(lam.rank)
-    for pop in enumerate_pops(lam):
-        ch.add_term(pop_boxes(pop), pop_weight(pop))
+def expand_dominant(dominant: GradedCharacter) -> GradedCharacter:
+    """The full character whose dominant-weight terms are ``dominant``: each
+    graded piece is invariant under signed permutations of the coordinates,
+    so every term is copied to each weight of its signed orbit."""
+    ch = GradedCharacter(dominant.rank)
+    orbits = {}
+    for (grade, mu), mult in dominant.terms.items():
+        if mu not in orbits:
+            orbits[mu] = oracle.signed_orbit(mu)
+        for w in orbits[mu]:  # orbits of distinct dominant weights are disjoint
+            ch.terms[grade, w] = mult
     return ch
 
 
-def character_fermionic(lam: DominantWeight) -> GradedCharacter:
-    """Graded character as a lattice sum over gap arrays.
+def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
+    """Dominant-weight terms of the graded character, summed over patterns:
+    each pattern of dominant weight contributes, at that weight, the product
+    over its gap boxes of :func:`box_generating_function`, which counts the
+    box's partitions by size. That is its overlaid patterns counted by box
+    count, without building them."""
+    ch = GradedCharacter(lam.rank)
+    for p in enumerate_dominant_patterns(lam):
+        poly = QPolynomial.one()
+        for ell, ellp in differences(p).values():
+            if ell and ellp:  # a box with one side 0 holds one empty partition
+                poly = poly * box_generating_function(ell, ellp)
+        w = pattern_weight(p)
+        for exp, coeff in poly.coeffs().items():
+            ch.add_term(exp, w, coeff)
+    return ch
+
+
+def character_direct(lam: DominantWeight) -> GradedCharacter:
+    """Graded character counted over overlaid patterns: the orbit expansion
+    of :func:`dominant_character_direct`. Every overlaid pattern adds 1 at
+    its weight and at the grade given by its box count."""
+    return expand_dominant(dominant_character_direct(lam))
+
+
+def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
+    """Dominant-weight terms of the graded character, as a lattice sum over
+    gap arrays.
 
     A gap array assigns one non-negative integer to every barred position
     (i, j <= rank) and unbarred position (i, j < rank). The walk visits them
@@ -234,13 +292,24 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
     the gap-weighted sum of positive roots. Entries beyond their top argument,
     and branches whose top goes negative, contribute zero by the out-of-range
     convention and are skipped. A forced position, whose top argument is 0,
-    is passed over without a call. The result equals :func:`character_direct`.
+    is passed over without a call.
+
+    Level j holds the last roots touching coordinate j + 1, so a branch is
+    cut once level j is done and a_{j+1} < a_{j+2}, where a_{r+1} = 0; a
+    leaf is kept only when also a_1 >= a_2. The walk touches no pattern code.
     """
     r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
     positions = [(i, r, True) for i in range(1, r + 1)]
+    # fixed[k]: 0-based coordinates that are final from walk index k on and
+    # must not fall below the next one.
+    fixed = {}
     for j in range(r - 1, 0, -1):
         positions.extend((i, j, False) for i in range(1, j + 1))
         positions.extend((i, j, True) for i in range(1, j + 1))
+        fixed[len(positions)] = (j,)
+    leaf = len(positions)
+    fixed[leaf] = fixed.get(leaf, ()) + (0,)
+    fixed = [fixed.get(k, ()) for k in range(leaf + 1)]
     index = {pos: k for k, pos in enumerate(positions)}
     vectors = [[(t, c) for t, c in enumerate(root_vector(p, r)) if c]
                for p in positions]
@@ -262,7 +331,8 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
             tops.append((omegas[i - 1], row(i + 1, 1, lo, j + 1) + terms))
 
     entries = [0] * len(positions)
-    weight = list(lam_t)  # each node undoes its own root subtractions
+    # Each node undoes its own root subtractions; the trailing 0 is a_{r+1}.
+    weight = list(lam_t) + [0]
     ch = GradedCharacter(r)
 
     def walk(k: int, poly: QPolynomial) -> None:
@@ -270,8 +340,11 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
         # change) is passed over here, so the recursion depth is the number
         # of free positions on a path, not the number of positions.
         while True:
-            if k == len(positions):
-                w = tuple(weight)
+            for t in fixed[k]:
+                if weight[t] < weight[t + 1]:
+                    return
+            if k == leaf:
+                w = tuple(weight[:r])
                 for exp, coeff in poly.coeffs().items():
                     ch.add_term(exp, w, coeff)
                 return
@@ -293,6 +366,13 @@ def character_fermionic(lam: DominantWeight) -> GradedCharacter:
 
     walk(0, QPolynomial.one())
     return ch
+
+
+def character_fermionic(lam: DominantWeight) -> GradedCharacter:
+    """Graded character as a lattice sum over gap arrays: the orbit
+    expansion of :func:`dominant_character_fermionic`. Equals
+    :func:`character_direct`."""
+    return expand_dominant(dominant_character_fermionic(lam))
 
 
 def specialize_q1(ch: GradedCharacter) -> GradedCharacter:

@@ -45,12 +45,14 @@ def dominant_rep(weight: Sequence[int]) -> tuple:
 
 def signed_orbit(weight: Sequence[int]) -> set:
     """All images of a weight under reordering of its coordinates and sign
-    flips, built by inserting each signed coordinate at every position of the
-    distinct partial images."""
+    flips, built by inserting each signed coordinate y into the distinct
+    partial images only at positions up to the first y already there. Every
+    image still arises, as the one whose leftmost y is the inserted one."""
     out = {()}
     for x in weight:
         out = {img[:k] + (y,) + img[k:]
-               for img in out for y in {x, -x} for k in range(len(img) + 1)}
+               for img in out for y in {x, -x}
+               for k in range((img + (y,)).index(y) + 1)}
     return out
 
 

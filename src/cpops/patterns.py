@@ -17,6 +17,8 @@ unbarred block, then for full patterns the barred block at level r.
 Enumeration walks the chain depth-first from the bounding row down, in a
 loop. Each row is constrained entrywise by the row above it only, so its
 candidate values form independent ranges and generation never backtracks.
+The dominant-weight walk is the same loop; it cuts a row as soon as a
+weight coordinate it fixes falls below the next one.
 """
 
 from __future__ import annotations
@@ -128,24 +130,43 @@ def interlacing_rows(upper: tuple) -> Iterator[tuple]:
         *[range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)])
 
 
-def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
+def _patterns(bounding, restricted: bool, dominant: bool = False) -> Iterator[PatternC]:
     # Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
     # bounding row, depth-first from the top: ``pending[-1]`` yields the
     # candidates for row k = n - len(pending) under the current rows above it.
+    # A dominant walk (full patterns only) tests the rows that fix a weight
+    # coordinate, lam^{j-1} and eta^1, and cuts those that break dominance.
     top = lambda_tuple(bounding)
     n = 2 * len(top) - restricted
     rows, pending = [None] * n, [iter((top,))]
+    fixes = [k % 2 == 1 or k == 0 for k in range(n - 1)] + [False]
+    coords = [0] * (len(top) + 2)
     while pending:
         row = next(pending[-1], None)
         k = n - len(pending)
         if row is None:
             pending.pop()
+        elif dominant and fixes[k] and not _keeps_dominant(rows, k, row, coords):
+            continue
         elif k:
             rows[k] = row
             pending.append(interlacing_rows(row + (0,) if k % 2 else row))
         else:
             rows[0] = row
             yield PatternC.from_rows(rows)
+
+
+def _keeps_dominant(rows: list, k: int, row: tuple, coords: list) -> bool:
+    # Row k is lam^{j-1} (row 2j - 3), or eta^1 (row 0) for j = 1, chosen
+    # under the full chain's rows above it; it fixes a_j = 2|eta^j| - |lam^j|
+    # - |lam^{j-1}|. Store a_j in coords[j] and keep the row when a_j >=
+    # a_{j+1}, where coords[r + 1] = 0.
+    if k:
+        j, a = k // 2 + 2, 2 * sum(rows[k + 1]) - sum(rows[k + 2]) - sum(row)
+    else:
+        j, a = 1, 2 * sum(row) - sum(rows[1])
+    coords[j] = a
+    return a >= coords[j + 1]
 
 
 def enumerate_patterns(bounding) -> Iterator[PatternC]:
@@ -161,6 +182,13 @@ def enumerate_patterns(bounding) -> Iterator[PatternC]:
 def enumerate_restricted_patterns(bounding) -> Iterator[PatternC]:
     """All restricted patterns bounded by the weakly decreasing ``bounding``."""
     return _patterns(bounding, True)
+
+
+def enumerate_dominant_patterns(bounding) -> Iterator[PatternC]:
+    """The patterns of :func:`enumerate_patterns` whose weight is dominant,
+    a_1 >= ... >= a_r >= 0, in the same order. Each branch of the walk is
+    cut as soon as a coordinate fixed by its rows breaks dominance."""
+    return _patterns(bounding, False, dominant=True)
 
 
 def differences(p: PatternC) -> dict:

@@ -15,6 +15,8 @@ from cpops.characters import (
     character_to_json,
     character_to_latex,
     character_to_text,
+    dominant_character_direct,
+    dominant_character_fermionic,
     q_binomial,
     restrict_drop_last,
     specialize_q1,
@@ -60,6 +62,14 @@ def test_q_binomial_specialization_and_degree(n):
         assert poly.at_one() == comb(n, s)
         assert poly.degree() == s * (n - s)
         assert all(c > 0 for c in poly.coeffs().values())
+
+
+def test_q_binomial_deep_tops():
+    # A top of 1,200 is far past the interpreter's recursion limit.
+    for s in (2, 1198):
+        poly = q_binomial(1200, s)
+        assert poly.at_one() == comb(1200, 2)
+        assert poly.degree() == 2 * 1198
 
 
 def test_box_generating_function_examples():
@@ -115,6 +125,46 @@ def test_character_methods_agree_rank1_sweep():
     for rank, max_total in ((1, 3), (4, 2), (5, 1), (6, 1)):
         for w in sweep_dominant_weights(rank, max_total):
             assert character_direct(w) == character_fermionic(w), w
+
+
+def test_characters_equal_per_pop_accumulation():
+    # Neither method walks overlaid patterns any more; this ties both to
+    # counting them one by one.
+    for rank, max_total in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        for w in sweep_dominant_weights(rank, max_total):
+            per_pop = GradedCharacter(w.rank)
+            for pop in enumerate_pops(w):
+                per_pop.add_term(pop_boxes(pop), pop_weight(pop))
+            assert character_direct(w) == per_pop, w
+            assert character_fermionic(w) == per_pop, w
+
+
+def test_methods_share_no_enumeration(monkeypatch):
+    # The direct method uses no Gaussian binomial, the fermionic one no
+    # pattern code; each still runs with the other's tools broken.
+    from cpops import characters
+
+    def broken(*args):
+        raise AssertionError("called across methods")
+
+    w = DominantWeight.from_omegas((1, 0, 1))
+    expected = character_direct(w)
+    with monkeypatch.context() as m:
+        m.setattr(characters, "q_binomial", broken)
+        assert character_direct(w) == expected
+    for name in ("enumerate_dominant_patterns", "differences", "pattern_weight",
+                 "box_generating_function"):
+        monkeypatch.setattr(characters, name, broken)
+    assert character_fermionic(w) == expected
+
+
+def test_dominant_parts_agree_and_are_dominant():
+    for rank, max_total in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        for w in sweep_dominant_weights(rank, max_total):
+            dominant = dominant_character_direct(w)
+            assert dominant == dominant_character_fermionic(w), w
+            for _, mu in dominant.terms:
+                assert all(a >= b for a, b in zip(mu, mu[1:] + (0,))), (w, mu)
 
 
 def test_binomial_tops_equal_gap_sums_pointwise():

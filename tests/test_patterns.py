@@ -6,6 +6,7 @@ from cpops.oracle import weyl_dim
 from cpops.patterns import (
     PatternC,
     differences,
+    enumerate_dominant_patterns,
     enumerate_patterns,
     enumerate_restricted_patterns,
     pattern_from_json,
@@ -106,6 +107,17 @@ def test_enumeration_matches_weyl_dim_small_sweep():
     for r in (1, 2, 3):
         for w in sweep_dominant_weights(r, 2):
             assert sum(1 for _ in enumerate_patterns(w)) == weyl_dim(w), w
+
+
+def test_dominant_walk_keeps_exactly_the_dominant_patterns():
+    # The pruned walk yields the dominant-weight patterns of the full stream,
+    # in the same order.
+    for rank, max_total in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        for w in sweep_dominant_weights(rank, max_total):
+            expected = [p for p in enumerate_patterns(w)
+                        if all(a >= b for a, b in zip(pattern_weight(p),
+                                                      pattern_weight(p)[1:] + (0,)))]
+            assert list(enumerate_dominant_patterns(w)) == expected, w
 
 
 def test_enumeration_valid_unique_deterministic():

@@ -15,6 +15,8 @@ from cpops.characters import (  # noqa: E402
     character_from_json,
     character_to_csv,
     character_to_json,
+    dominant_character_fermionic,
+    expand_dominant,
 )
 from cpops.oracle import dominant_rep, signed_orbit  # noqa: E402
 from cpops.patterns import (  # noqa: E402
@@ -105,3 +107,16 @@ def test_orbit_shares_dominant_rep(weight):
     rep = dominant_rep(weight)
     assert all(dominant_rep(image) == rep for image in signed_orbit(weight))
     assert tuple(weight) in signed_orbit(rep)
+
+
+@small
+@given(small_weights)
+def test_orbit_expansion_of_dominant_part(w):
+    dominant = dominant_character_fermionic(w)
+    full = expand_dominant(dominant)
+    kept = {(s, mu): m for (s, mu), m in full.terms.items() if dominant_rep(mu) == mu}
+    assert kept == dominant.terms
+    for grade in full.grades():
+        piece = full.grade_slice(grade)
+        for mu in {dominant_rep(weight) for weight in piece}:
+            assert len({piece.get(image) for image in signed_orbit(mu)}) == 1, (grade, mu)
