@@ -5,13 +5,16 @@ pairs, the weight in epsilon-coordinates. Each graded piece of a local Weyl
 module is an sp(2r)-module, so its character is invariant under signed
 permutations of the coordinates and is fixed by its dominant weights. Both
 methods compute only that dominant part: ``dominant_character_direct`` sums
-box generating functions over the patterns of dominant weight, and
-``dominant_character_fermionic`` evaluates a lattice sum of Gaussian-binomial
-products over gap arrays, touching none of the pattern machinery. Each walk
-cuts a branch once a coordinate it has fixed breaks dominance.
-``character_direct`` and ``character_fermionic`` expand the dominant part to
-the full character with :func:`expand_dominant`. The two must agree exactly,
-which is the package's central cross-check.
+box generating functions over the patterns of dominant weight, row pair by
+row pair, and ``dominant_character_fermionic`` evaluates a lattice sum of
+Gaussian-binomial products over gap arrays, level by level, touching none of
+the pattern machinery. Each sum cuts a branch once a coordinate it has fixed
+breaks dominance, and is memoized on the few numbers the rest of its walk
+reads; sub-results are dense coefficient lists keyed by weight, and the
+character is built once at the end. ``character_direct`` and
+``character_fermionic`` expand the dominant part to the full character with
+:func:`expand_dominant`. The two must agree exactly, which is the package's
+central cross-check.
 
 Gaussian binomials use the zero convention out of range: the polynomial is
 zero whenever the bottom index exceeds the top or the top is negative. Under
@@ -25,17 +28,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import oracle
-from .patterns import (
-    _json_field,
-    _json_ints,
-    differences,
-    enumerate_dominant_patterns,
-    pattern_weight,
-)
+from .patterns import _json_field, _json_ints, interlacing_rows
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight  # noqa: F401
-from .rootsys import DominantWeight, root_vector
+from .rootsys import DominantWeight
 
 
 def _signed_sum(terms) -> str:
@@ -140,40 +137,69 @@ class QPolynomial:
         return f"QPolynomial({self._coeffs!r})"
 
 
+def _binomial_step(coeffs: list, a: int, t: int, degree: int) -> list:
+    # coeffs times 1 - q^a, divided exactly by 1 - q^t, in place, as
+    # ``degree + 1`` coefficients: one step from a Gaussian binomial to the next.
+    coeffs.extend([0] * (degree + 1 - len(coeffs)))
+    for e in range(degree, a - 1, -1):
+        coeffs[e] -= coeffs[e - a]
+    for e in range(t, degree + 1):
+        coeffs[e] += coeffs[e - t]
+    return coeffs
+
+
+# Row n of Gaussian binomials for the fermionic walk, which asks for [n, 0],
+# [n, 1], ... in turn: the coefficient tuples up to the largest bottom asked
+# for so far, at most n // 2 (the rest mirror).
+_BINOMIAL_ROWS = {}
+
+
+def _binomial_coeffs(n: int, s: int) -> tuple:
+    """Dense coefficients of [n, s] for 0 <= s <= n. Row n grows one entry
+    at a time, without recursion: [n, t] is [n, t - 1] times 1 - q^(n-t+1),
+    divided exactly by 1 - q^t."""
+    s = min(s, n - s)
+    row = _BINOMIAL_ROWS.setdefault(n, [(1,)])
+    while len(row) <= s:
+        t = len(row)
+        row.append(tuple(_binomial_step(list(row[-1]), n - t + 1, t, t * (n - t))))
+    return row[s]
+
+
 @lru_cache(maxsize=None)
 def q_binomial(n: int, s: int) -> QPolynomial:
     """Gaussian binomial with top n and bottom s.
 
     Zero polynomial when s < 0, n < 0, or s > n; otherwise a polynomial with
     non-negative coefficients, degree s*(n-s), and value comb(n, s) at q = 1.
-    Built without recursion from [m, 0] = 1, m = n - max(s, n - s): step t
-    multiplies [m + t - 1, t - 1] by 1 - q^(m+t) and divides exactly by 1 - q^t.
+    Built without recursion and without keeping the entries on the way, from
+    [m, 0] = 1, m = n - min(s, n - s): step t multiplies [m + t - 1, t - 1] by
+    1 - q^(m+t) and divides exactly by 1 - q^t.
     """
     if s < 0 or n < 0 or s > n:
         return QPolynomial.zero()
     s = min(s, n - s)
-    m = n - s
     coeffs = [1]
     for t in range(1, s + 1):
-        coeffs += [0] * (m + t)
-        for e in range(len(coeffs) - 1, m + t - 1, -1):
-            coeffs[e] -= coeffs[e - m - t]
-        for e in range(t, len(coeffs)):
-            coeffs[e] += coeffs[e - t]
-        del coeffs[t * m + 1:]
+        coeffs = _binomial_step(coeffs, n - s + t, t, t * (n - s))
     return QPolynomial(dict(enumerate(coeffs)))
 
 
 @lru_cache(maxsize=None)
+def _box_coeffs(ell: int, ellp: int) -> tuple:
+    # Dense count of the partitions fitting the box (ell, ellp) by size,
+    # by direct enumeration.
+    coeffs = [0] * (ell * ellp + 1)
+    for parts in partitions_in_box(ell, ellp):
+        coeffs[sum(parts)] += 1
+    return tuple(coeffs)
+
+
 def box_generating_function(ell: int, ellp: int) -> QPolynomial:
     """Sum of q**|s| over the partitions fitting the box (ell, ellp), computed
     by direct enumeration and memoized per box; equals q_binomial(ell + ellp,
     ell)."""
-    coeffs = {}
-    for parts in partitions_in_box(ell, ellp):
-        size = sum(parts)
-        coeffs[size] = coeffs.get(size, 0) + 1
-    return QPolynomial(coeffs)
+    return QPolynomial(dict(enumerate(_box_coeffs(ell, ellp))))
 
 
 class GradedCharacter:
@@ -221,11 +247,11 @@ class GradedCharacter:
     __hash__ = None  # mutable container
 
     def canonical_terms(self) -> list:
-        """Terms sorted by ascending grade, then descending lexicographic weight."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0], tuple(-x for x in kv[0][1])),
-        )
+        """Terms sorted by ascending grade, then descending lexicographic weight:
+        two stable sorts, the second keeping the first's order within a grade."""
+        terms = sorted(self.terms.items(), key=lambda kv: kv[0][1], reverse=True)
+        terms.sort(key=lambda kv: kv[0][0])
+        return terms
 
     def grades(self) -> set:
         return {grade for grade, _ in self.terms}
@@ -252,22 +278,109 @@ def expand_dominant(dominant: GradedCharacter) -> GradedCharacter:
     return ch
 
 
+def _dense_mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    # Product of two dense coefficient sequences (index = q-exponent). A
+    # factor 1 returns the other operand itself, so results are read only.
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return a if b[0] == 1 else [b[0] * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for e, y in enumerate(a, i):
+                out[e] += x * y
+    return out
+
+
+def _accumulate(sums: dict, key, poly: Sequence[int]) -> None:
+    # sums[key] += poly, on dense coefficient lists that ``sums`` owns.
+    acc = sums.get(key)
+    if acc is None:
+        sums[key] = list(poly)
+        return
+    if len(acc) < len(poly):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for e, c in enumerate(poly):
+        acc[e] += c
+
+
+def _dense_character(rank: int, sums: dict) -> "GradedCharacter":
+    # The character holding dense polynomials keyed by weight; each weight
+    # may carry trailing coordinates past the rank, which are dropped.
+    ch = GradedCharacter(rank)
+    for weight, poly in sums.items():
+        for grade, mult in enumerate(poly):
+            if mult:
+                ch.terms[grade, weight[:rank]] = mult
+    return ch
+
+
+def _gap_boxes(upper: tuple, lower: tuple) -> Sequence[int]:
+    # Product of the box generating functions over the gaps between a row and
+    # the row under it: box i is (upper_i - lower_i, lower_i - upper_{i+1}).
+    # An eta row's upper row carries the trailing 0 of its lambda row.
+    poly = (1,)
+    for i, x in enumerate(lower):
+        ell, ellp = upper[i] - x, x - upper[i + 1]
+        if ell and ellp:  # a box with one side 0 holds one empty partition
+            poly = _dense_mul(poly, _box_coeffs(ell, ellp))
+    return poly
+
+
 def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     """Dominant-weight terms of the graded character, summed over patterns:
     each pattern of dominant weight contributes, at that weight, the product
-    over its gap boxes of :func:`box_generating_function`, which counts the
+    over its gap boxes of the box generating function, which counts the
     box's partitions by size. That is its overlaid patterns counted by box
-    count, without building them."""
-    ch = GradedCharacter(lam.rank)
-    for p in enumerate_dominant_patterns(lam):
-        poly = QPolynomial.one()
-        for ell, ellp in differences(p).values():
-            if ell and ellp:  # a box with one side 0 holds one empty partition
-                poly = poly * box_generating_function(ell, ellp)
-        w = pattern_weight(p)
-        for exp, coeff in poly.coeffs().items():
-            ch.add_term(exp, w, coeff)
-    return ch
+    count, without building them.
+
+    The sum runs over the chain from the top row lam^r down, eta^j under
+    lam^j and lam^{j-1} under eta^j, and is memoized row by row. Choosing
+    lam^{j-1} fixes a_j = 2|eta^j| - |lam^j| - |lam^{j-1}|, which must be at
+    least a_{j+1} (a_{r+1} = 0; lam^0 is empty). So the rest of the sum
+    depends on a lam^j row only through (lam^j, a_{j+1}), and on an eta^j row
+    through (eta^j, |lam^j|, a_{j+1}). A first pass collects these keys row
+    by row, each with its children and the product of box generating
+    functions of the row pair, memoized per pair; a second pass, from the
+    bottom row up, maps every key to dense polynomials keyed by the
+    coordinates a_1..a_j fixed below it. No Gaussian binomial is used.
+    """
+    pairs = {}
+
+    def boxes(upper: tuple, lower: tuple) -> Sequence[int]:
+        if (upper, lower) not in pairs:
+            pairs[upper, lower] = _gap_boxes(upper, lower)
+        return pairs[upper, lower]
+
+    edges = []  # per row: key -> [(child key, pair product, fixed coordinate)]
+    keys = [(lam.lam, 0)]
+    for k in range(2 * lam.rank):
+        level = {}
+        for key in keys:
+            if k % 2 == 0:  # (lam^j, a_{j+1}) -> eta^j
+                row, a_next = key
+                upper = row + (0,)
+                level[key] = [((eta, sum(row), a_next), boxes(upper, eta), ())
+                              for eta in interlacing_rows(upper)]
+            else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
+                eta, lam_sum, a_next = key
+                level[key] = children = []
+                for row in interlacing_rows(eta):
+                    a = 2 * sum(eta) - lam_sum - sum(row)
+                    if a >= a_next:
+                        children.append(((row, a), boxes(eta, row), (a,)))
+        edges.append(level)
+        keys = list(dict.fromkeys(c for cs in level.values() for c, _, _ in cs))
+    sums = {key: {(): (1,)} for key in keys}
+    for level in reversed(edges):
+        below, sums = sums, {}
+        for key, children in level.items():
+            acc = sums[key] = {}
+            for child, poly, fixed in children:
+                for prefix, sub in below[child].items():
+                    _accumulate(acc, prefix + fixed, _dense_mul(poly, sub))
+    return _dense_character(lam.rank, sums[lam.lam, 0])
 
 
 def character_direct(lam: DominantWeight) -> GradedCharacter:
@@ -277,95 +390,88 @@ def character_direct(lam: DominantWeight) -> GradedCharacter:
     return expand_dominant(dominant_character_direct(lam))
 
 
+def _binomial_products(tops: Sequence[int], start: Sequence[int]) -> list:
+    # Every entry tuple with 0 <= entry_i <= tops[i], each with ``start``
+    # times the Gaussian binomials [tops[i], entry_i], built one position at a
+    # time; a negative top admits no entry.
+    partial = [((), start)]
+    for n in tops:
+        partial = [(entries + (e,), _dense_mul(poly, _binomial_coeffs(n, e)))
+                   for entries, poly in partial for e in range(n + 1)]
+    return partial
+
+
+def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple) -> dict:
+    # Walk level j from a key (T_1..T_{j+1}, a_{j+1}, a_{j+2}) at the
+    # boundary before it: child key -> summed binomial products of the
+    # level's entries that lead to it. The unbarred entries (i, j) come
+    # first, then the barred ones; level r has no unbarred entries.
+    totals, a_hi, a_top = key
+    tops = ([omegas[i] + totals[i + 1] - totals[i] for i in range(j)]
+            if j < len(lam_t) else [0] * j)
+    out = {}
+    for unbarred, poly in _binomial_products(tops, (1,)):
+        hi = a_hi + sum(unbarred)  # a_{j+1} is final after level j
+        if hi < a_top:
+            continue
+        lo = lam_t[j - 1] - totals[j - 1] - unbarred[j - 1]
+        barred_tops = [omegas[i] + totals[i + 1] + unbarred[i + 1] - totals[i] - unbarred[i]
+                       for i in range(j - 1)] + [lo]
+        for barred, prod in _binomial_products(barred_tops, poly):
+            child = (tuple(map(sum, zip(totals, unbarred, barred))),
+                     lo - sum(barred) - barred[j - 1], hi)
+            _accumulate(out, child, prod)
+    return out
+
+
 def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
     """Dominant-weight terms of the graded character, as a lattice sum over
     gap arrays.
 
     A gap array assigns one non-negative integer to every barred position
-    (i, j <= rank) and unbarred position (i, j < rank). The walk visits them
-    level by level downward (the top barred block, then per lower level its
-    unbarred and barred blocks) and keeps the entries in one list indexed by
-    walk position. Each position carries a Gaussian-binomial factor whose top
-    argument is a fixed affine function of the multiplicities and the entries
-    at higher levels, tabulated once per call as a constant plus (sign,
-    earlier walk index) terms. The array's weight is the bounding weight minus
-    the gap-weighted sum of positive roots. Entries beyond their top argument,
-    and branches whose top goes negative, contribute zero by the out-of-range
-    convention and are skipped. A forced position, whose top argument is 0,
-    is passed over without a call.
+    (i, j <= rank) and unbarred position (i, j < rank). The sum walks them
+    level by level downward, j = r, ..., 1: per level its unbarred block,
+    then its barred block. Each position carries a Gaussian-binomial factor
+    whose top argument is a fixed affine function of the multiplicities and
+    the entries at higher levels: with T_i the total of row i's entries
+    walked so far, the top at unbarred (i, j) is m_i + T_{i+1} - T_i, at
+    barred (i, j), i < j, it is m_i + T_{i+1} + u_{i+1,j} - T_i - u_{i,j}, and
+    at barred (j, j) it is lam_j - T_j - u_{j,j}. The array's weight is the
+    bounding weight minus the gap-weighted sum of positive roots. Entries
+    beyond their top argument, and branches whose top goes negative,
+    contribute zero by the out-of-range convention and are skipped.
 
     Level j holds the last roots touching coordinate j + 1, so a branch is
-    cut once level j is done and a_{j+1} < a_{j+2}, where a_{r+1} = 0; a
-    leaf is kept only when also a_1 >= a_2. The walk touches no pattern code.
+    cut once level j is done and a_{j+1} < a_{j+2}, where a_{r+1} = 0; a leaf
+    is kept only when also a_1 >= a_2. Before level j, every top argument
+    still to come reads the walked entries through T_1..T_{j+1} only, and
+    a_t = lam_t - T_t for t <= j. So the sum is memoized on the key (T_1..
+    T_{j+1}, a_{j+1} as walked so far, a_{j+2}, which is final). The barred
+    entries (i, j + 1), i <= j, also move a_{j+1}, so it is no function of
+    the T_i and must be in the key. A first pass collects the keys level by
+    level, each with its children and the summed binomial products leading
+    to them; a second pass, from the leaves up, maps every key to dense
+    polynomials keyed by the final a_1..a_{j+1}. The walk touches no pattern
+    code.
     """
     r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
-    positions = [(i, r, True) for i in range(1, r + 1)]
-    # fixed[k]: 0-based coordinates that are final from walk index k on and
-    # must not fall below the next one.
-    fixed = {}
-    for j in range(r - 1, 0, -1):
-        positions.extend((i, j, False) for i in range(1, j + 1))
-        positions.extend((i, j, True) for i in range(1, j + 1))
-        fixed[len(positions)] = (j,)
-    leaf = len(positions)
-    fixed[leaf] = fixed.get(leaf, ()) + (0,)
-    fixed = [fixed.get(k, ()) for k in range(leaf + 1)]
-    index = {pos: k for k, pos in enumerate(positions)}
-    vectors = [[(t, c) for t, c in enumerate(root_vector(p, r)) if c]
-               for p in positions]
-
-    def row(i: int, sign: int, lo_unbarred: int, lo_barred: int) -> list:
-        # Signed entries of row i from the given levels up to the top.
-        return [(sign, index[(i, k, False)]) for k in range(lo_unbarred, r)] + [
-            (sign, index[(i, k, True)]) for k in range(lo_barred, r + 1)]
-
-    # Position k reads only entries at indices below k, so the entry list
-    # never needs resetting between branches.
-    tops = []
-    for i, j, barred in positions:
-        lo = j if barred else j + 1
-        terms = row(i, -1, lo, j + 1)
-        if barred and i == j:
-            tops.append((lam_t[i - 1], terms))
-        else:
-            tops.append((omegas[i - 1], row(i + 1, 1, lo, j + 1) + terms))
-
-    entries = [0] * len(positions)
-    # Each node undoes its own root subtractions; the trailing 0 is a_{r+1}.
-    weight = list(lam_t) + [0]
-    ch = GradedCharacter(r)
-
-    def walk(k: int, poly: QPolynomial) -> None:
-        # A position whose top argument is 0 (entry 0, factor 1, no weight
-        # change) is passed over here, so the recursion depth is the number
-        # of free positions on a path, not the number of positions.
-        while True:
-            for t in fixed[k]:
-                if weight[t] < weight[t + 1]:
-                    return
-            if k == leaf:
-                w = tuple(weight[:r])
-                for exp, coeff in poly.coeffs().items():
-                    ch.add_term(exp, w, coeff)
-                return
-            const, terms = tops[k]
-            n = const + sum(s * entries[t] for s, t in terms)
-            if n < 0:
-                return
-            if n:
-                break
-            entries[k] = 0
-            k += 1
-        for ell in range(n + 1):
-            entries[k] = ell
-            walk(k + 1, poly * q_binomial(n, ell))
-            for t, c in vectors[k]:
-                weight[t] -= c
-        for t, c in vectors[k]:
-            weight[t] += (n + 1) * c
-
-    walk(0, QPolynomial.one())
-    return ch
+    root = ((0,) * (r + 1), 0, 0)
+    edges = []  # per level: key -> {child key: summed binomial products}
+    keys = [root]
+    for j in range(r, 0, -1):
+        level = {key: _fermionic_level(omegas, lam_t, j, key) for key in keys}
+        edges.append(level)
+        keys = list(dict.fromkeys(c for cs in level.values() for c in cs))
+    # After level 1 a key is (T_1, a_1, a_2).
+    sums = {key: {(key[1],): (1,)} for key in keys if key[1] >= key[2]}
+    for level in reversed(edges):
+        below, sums = sums, {}
+        for key, children in level.items():
+            acc = sums[key] = {}
+            for child, poly in children.items():
+                for prefix, sub in below.get(child, {}).items():
+                    _accumulate(acc, prefix + (child[2],), _dense_mul(poly, sub))
+    return _dense_character(r, sums[root])
 
 
 def character_fermionic(lam: DominantWeight) -> GradedCharacter:
@@ -455,7 +561,7 @@ def character_to_text(ch: GradedCharacter) -> str:
     for (grade, weight), mult in ch.terms.items():
         by_weight.setdefault(weight, {})[grade] = mult
     pieces = []
-    for weight in sorted(by_weight, key=lambda w: tuple(-x for x in w)):
+    for weight in sorted(by_weight, reverse=True):
         poly = QPolynomial(by_weight[weight])
         exp = _weight_linear(weight, "ε", "{i}")
         body = "1" if exp == "0" else f"e^{{{exp}}}"

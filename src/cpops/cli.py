@@ -8,8 +8,9 @@ tuple; --rank is optional and must agree with the tuple length when present.
 Listings stream one JSON object per line (--format json) or one display line
 per item (--format text) and are deterministic across runs. Exit status is 0
 on success, 1 when a requested check fails, 2 on usage errors (a --max-total
-too large to sweep among them), 3 on an internal error (one stderr line, no
-traceback), 141 when the reader closes stdout early.
+too large to sweep and a dimension too long to print among them), 3 on an
+internal error (one stderr line, no traceback), 141 when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import os
 import sys
 
-from . import cache as cache_mod
 from .branching import shtepin_branch_l, shtepin_branch_v, verify_identities, weyl_filtration
 from .characters import (
     character_direct,
@@ -28,6 +28,9 @@ from .characters import (
     character_to_json,
     character_to_latex,
     character_to_text,
+    dominant_character_direct,
+    dominant_character_fermionic,
+    expand_dominant,
 )
 from .oracle import weyl_dim
 from .patterns import enumerate_patterns, enumerate_restricted_patterns, pattern_to_json
@@ -36,6 +39,7 @@ from .pops import (
     enumerate_restricted_pops,
     monomial_to_json,
     pop_count_formula,
+    pop_count_log10,
     pop_monomial,
     pop_to_json,
     restricted_pop_count_formula,
@@ -43,6 +47,10 @@ from .pops import (
 from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 
 CACHE_ENV_VAR = "CPOPS_CACHE_DIR"
+
+# `dim` prints counts of at most this many digits, CPython's default limit
+# for converting an int to a string.
+MAX_DIGITS = 4300
 
 MONOMIAL_GRAMMAR = (
     'monomial text grammar: WORD := "1" | FACTOR (" " FACTOR)* ; '
@@ -87,7 +95,13 @@ def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
 
 def cmd_dim(args, parser) -> int:
     weight = _resolve_weight(args, parser)
+    what = "dim V" if args.irreducible else "the overlaid-pattern count"
+    too_many = f"{what} has more than {MAX_DIGITS} digits"
+    if not args.irreducible and pop_count_log10(weight) > MAX_DIGITS + 1:
+        parser.error(too_many)  # refused before the power is taken
     value = weyl_dim(weight) if args.irreducible else pop_count_formula(weight)
+    if value >= 10 ** MAX_DIGITS:
+        parser.error(too_many)
     if args.check:
         stream = enumerate_patterns(weight) if args.irreducible \
             else enumerate_pops(weight)
@@ -169,6 +183,7 @@ def _character_with_cache(args, weight: DominantWeight):
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir is None:
         return compute(weight)
+    from . import cache as cache_mod  # hashlib is imported only when needed
     cached = cache_mod.cache_lookup(cache_dir, weight.rank, weight.lam, args.method)
     if cached is not None:
         if args.verbose:
@@ -197,11 +212,16 @@ def cmd_char(args, parser) -> int:
     weight = _resolve_weight(args, parser)
     if args.method == "both":
         # A cross-check compares fresh computations, never cached blobs.
-        ch = character_direct(weight)
-        if ch != character_fermionic(weight):
+        ch = dominant_character_direct(weight)
+        if ch != dominant_character_fermionic(weight):
             print("character mismatch between direct and fermionic methods",
                   file=sys.stderr)
             return 1
+        if not args.dominant:
+            ch = expand_dominant(ch)
+    elif args.dominant:
+        ch = (dominant_character_direct if args.method == "direct"
+              else dominant_character_fermionic)(weight)
     else:
         ch = _character_with_cache(args, weight)
     print(_render_character(ch, args.format))
@@ -301,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text",
                    help="csv columns: grade,a1..ar,mult; "
                         "latex terms: m q^{s} e^{...}")
+    p.add_argument("--dominant", action="store_true",
+                   help="print only the terms of dominant weight, which fix "
+                        "the character; computed afresh, without the cache")
     p.add_argument("--cache-dir", default=None,
                    help=f"cache directory (default: ${CACHE_ENV_VAR})")
     p.add_argument("--verbose", action="store_true")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, log10
 from typing import Iterator, Sequence
 
 from .patterns import (
@@ -141,11 +141,16 @@ def _comb0(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
+def _count_factors(n: int, omegas: Sequence[int]) -> list:
+    # (comb(n, i) - comb(n, i-2), omegas_i) for each i.
+    return [(_comb0(n, i) - _comb0(n, i - 2), m) for i, m in enumerate(omegas, start=1)]
+
+
 def _count_product(n: int, omegas: Sequence[int]) -> int:
     # Product over i of (comb(n, i) - comb(n, i-2)) ** omegas_i.
     out = 1
-    for i, m in enumerate(omegas, start=1):
-        out *= (_comb0(n, i) - _comb0(n, i - 2)) ** m
+    for base, m in _count_factors(n, omegas):
+        out *= base ** m
     return out
 
 
@@ -154,6 +159,14 @@ def pop_count_formula(lam: Sequence[int]) -> int:
     m_i = lam_i - lam_{i+1} and lam_{r+1} = 0."""
     m = lambda_to_omegas(lam)
     return _count_product(2 * len(m), m)
+
+
+def pop_count_log10(lam: Sequence[int]) -> float:
+    """Base-10 logarithm of :func:`pop_count_formula`, the sum of
+    m_i * log10(base_i), so a count too large to compute shows before any
+    power is taken."""
+    m = lambda_to_omegas(lam)
+    return sum(e * log10(base) for base, e in _count_factors(2 * len(m), m) if e)
 
 
 def restricted_pop_count_formula(eta: Sequence[int]) -> int:

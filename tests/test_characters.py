@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from math import comb
@@ -72,6 +73,18 @@ def test_q_binomial_deep_tops():
         assert poly.degree() == 2 * 1198
 
 
+def test_binomial_rows_equal_q_binomial():
+    # The fermionic walk reads rows grown from [n, s - 1] to [n, s];
+    # q_binomial builds each entry on its own.
+    from cpops.characters import _binomial_coeffs
+
+    for n in range(25):
+        for s in range(n + 1):
+            poly = q_binomial(n, s)
+            dense = tuple(poly.coeffs().get(e, 0) for e in range(poly.degree() + 1))
+            assert _binomial_coeffs(n, s) == dense, (n, s)
+
+
 def test_box_generating_function_examples():
     assert box_generating_function(0, 7) == QPolynomial.one()
     assert box_generating_function(1, 1) == QPolynomial({0: 1, 1: 1})
@@ -140,8 +153,9 @@ def test_characters_equal_per_pop_accumulation():
 
 
 def test_methods_share_no_enumeration(monkeypatch):
-    # The direct method uses no Gaussian binomial, the fermionic one no
-    # pattern code; each still runs with the other's tools broken.
+    # The direct method uses no Gaussian binomial and none of the fermionic
+    # walk's helpers, the fermionic one no pattern code and none of the
+    # direct walk's helpers; each still runs with the other's tools broken.
     from cpops import characters
 
     def broken(*args):
@@ -150,12 +164,35 @@ def test_methods_share_no_enumeration(monkeypatch):
     w = DominantWeight.from_omegas((1, 0, 1))
     expected = character_direct(w)
     with monkeypatch.context() as m:
-        m.setattr(characters, "q_binomial", broken)
+        for name in ("q_binomial", "_binomial_coeffs", "_binomial_products",
+                     "_fermionic_level"):
+            m.setattr(characters, name, broken)
         assert character_direct(w) == expected
-    for name in ("enumerate_dominant_patterns", "differences", "pattern_weight",
-                 "box_generating_function"):
+    for name in ("interlacing_rows", "box_generating_function", "_box_coeffs",
+                 "_gap_boxes", "partitions_in_box"):
         monkeypatch.setattr(characters, name, broken)
     assert character_fermionic(w) == expected
+
+
+# SHA-256 of json.dumps(character_to_json(dominant part), sort_keys=True),
+# recorded from the pattern-by-pattern walk, with its term count and total
+# multiplicity. Both weights lie beyond the per-POP accumulation test.
+DOMINANT_DIGESTS = {
+    (2, 1, 1, 1): (224, 84204,
+                   "44178aefdaa66546b9580260e621ce45ff3d111d408c40b614a4f54c24a7c375"),
+    (1, 1, 1, 1, 1): (673, 7865562,
+                      "680dd57ff951bc6fe5877da99c061246c97812f0db485d80ae9aa7110ae633ac"),
+}
+
+
+@pytest.mark.parametrize("omegas", sorted(DOMINANT_DIGESTS))
+@pytest.mark.parametrize("method", [dominant_character_direct, dominant_character_fermionic])
+def test_dominant_parts_match_recorded_digests(method, omegas):
+    terms, total, digest = DOMINANT_DIGESTS[omegas]
+    ch = method(DominantWeight.from_omegas(omegas))
+    assert (len(ch.terms), total_dim(ch)) == (terms, total)
+    blob = json.dumps(character_to_json(ch), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_dominant_parts_agree_and_are_dominant():

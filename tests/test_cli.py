@@ -10,7 +10,12 @@ import pytest
 
 from cpops import branching, cli
 from cpops.cache import cache_lookup, cache_store
-from cpops.characters import GradedCharacter, character_direct, character_to_json
+from cpops.characters import (
+    GradedCharacter,
+    character_direct,
+    character_from_json,
+    character_to_json,
+)
 from cpops.patterns import enumerate_patterns, pattern_from_json
 from cpops.pops import enumerate_pops, pop_from_json
 from cpops.rootsys import DominantWeight
@@ -80,17 +85,66 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_char_both_mismatch_exits_1(capsys, monkeypatch):
-    fermionic = cli.character_fermionic
+    # --method both compares the two dominant parts.
+    fermionic = cli.dominant_character_fermionic
 
     def bumped(weight):
         ch = fermionic(weight)
         ch.add_term(*min(ch.terms))
         return ch
 
-    monkeypatch.setattr(cli, "character_fermionic", bumped)
-    code, out, err = run_cli(capsys, "char", "--omegas", "1,1", "--method", "both")
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
+    monkeypatch.setattr(cli, "dominant_character_fermionic", bumped)
+    for extra in ((), ("--dominant",)):
+        code, out, err = run_cli(capsys, "char", "--omegas", "1,1", "--method", "both",
+                                 *extra)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+
+
+def test_char_dominant_prints_the_dominant_terms(capsys):
+    w = DominantWeight.from_omegas((1, 1))
+    full = character_direct(w)
+    dominant = {(s, mu): m for (s, mu), m in full.terms.items()
+                if all(a >= b for a, b in zip(mu, mu[1:] + (0,)))}
+    for method in ("direct", "fermionic", "both"):
+        code, out, err = run_cli(capsys, "char", "--omegas", "1,1", "--dominant",
+                                 "--method", method, "--format", "json")
+        assert (code, err) == (0, "")
+        assert character_from_json(json.loads(out)).terms == dominant, method
+    code, out, _ = run_cli(capsys, "char", "--omegas", "1,1", "--dominant")
+    assert out == "e^{2ε1+ε2} + (2+q)·e^{ε1}\n"
+
+
+def test_char_dominant_skips_the_cache(tmp_path, capsys):
+    w = DominantWeight.from_omegas((2,))
+    cache_store(str(tmp_path), w.rank, w.lam, "direct", GradedCharacter(1, {(0, (0,)): 7}))
+    code, out, _ = run_cli(capsys, "char", "--omegas", "2", "--dominant",
+                           "--cache-dir", str(tmp_path))
+    assert (code, out) == (0, "e^{2ε1} + (1+q)·1\n")
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    # 2**20000 has 6,021 digits; the int-to-str limit once turned it into exit 3.
+    (["dim", "--omegas", "20000"], "the overlaid-pattern count"),
+    # 4**(10**20) would never finish; refused before the power is taken.
+    (["dim", "--omegas", "99999999999999999999,1"], "the overlaid-pattern count"),
+    (["dim", "--irreducible", "--omegas", ",".join(["9" * 1100] * 2)], "dim V"),
+])
+def test_dim_too_many_digits_exits_2(capsys, argv, what):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"cpops: error: {what} has more than 4300 digits"]
+
+
+def test_dim_prints_4300_digits(capsys):
+    code, out, _ = run_cli(capsys, "dim", "--omegas", "14284")  # 2**14284
+    assert (code, out) == (0, f"{2 ** 14284}\n")
+    assert len(out) == 4301
 
 
 def test_closed_stdout_exits_141_quietly():
