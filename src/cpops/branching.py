@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from math import comb
 from typing import Optional
 
@@ -41,15 +40,11 @@ from .pops import (
 from .rootsys import DominantWeight, lambda_to_omegas, lambda_tuple
 
 
-@dataclass(frozen=True)
-class FiltrationTerm:
+class FiltrationTerm(namedtuple("FiltrationTerm", "ell ellp mult target")):
     """One summand of the rank-lowering filtration: outer and inner gap
     tuples, binomial multiplicity, and the rank-(r-1) bounding sequence."""
 
-    ell: tuple
-    ellp: tuple
-    mult: int
-    target: tuple
+    __slots__ = ()
 
 
 def weyl_filtration(lam: DominantWeight) -> list:
@@ -95,13 +90,11 @@ def shtepin_branch_l(eta) -> list:
     return list(interlacing_rows(lambda_tuple(eta)))
 
 
-@dataclass
-class CheckResult:
-    check: str
-    status: str  # "ok" | "fail" | "skipped"
-    lhs: object = None
-    rhs: object = None
-    witness: Optional[str] = None
+class CheckResult(namedtuple("CheckResult", "check status lhs rhs witness",
+                               defaults=(None, None, None))):
+    """One check of a report; status is "ok", "fail" or "skipped"."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         obj = {"check": self.check, "status": self.status,
@@ -111,10 +104,14 @@ class CheckResult:
         return obj
 
 
-@dataclass
 class Report:
-    weight: DominantWeight
-    entries: list = field(default_factory=list)
+    """The checks run on one weight, in order."""
+
+    __slots__ = ("weight", "entries")
+
+    def __init__(self, weight: DominantWeight):
+        self.weight = weight
+        self.entries = []
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,8 @@ tuple, method, format version). A hit deserializes to a character equal to
 the recomputation, so rendering from cache is byte-identical. Unreadable or
 mismatched entries, a stored character of another rank among them, are misses
 with a warning on stderr; the format version bumps whenever the serialized
-schema changes.
+schema changes. No CLI path reads or writes it; it stays for the
+benchmark's cache probe.
 """
 
 from __future__ import annotations

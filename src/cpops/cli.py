@@ -46,8 +46,6 @@ from .pops import (
 )
 from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 
-CACHE_ENV_VAR = "CPOPS_CACHE_DIR"
-
 # `dim` prints counts of at most this many digits, CPython's default limit
 # for converting an int to a string.
 MAX_DIGITS = 4300
@@ -178,26 +176,6 @@ def cmd_monomials(args, parser) -> int:
     return 0
 
 
-def _character_with_cache(args, weight: DominantWeight):
-    compute = character_direct if args.method == "direct" else character_fermionic
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if cache_dir is None:
-        return compute(weight)
-    from . import cache as cache_mod  # hashlib is imported only when needed
-    cached = cache_mod.cache_lookup(cache_dir, weight.rank, weight.lam, args.method)
-    if cached is not None:
-        if args.verbose:
-            print(f"cache hit: {args.method} {weight.lam}", file=sys.stderr)
-        return cached
-    ch = compute(weight)
-    try:
-        cache_mod.cache_store(cache_dir, weight.rank, weight.lam, args.method, ch)
-    except OSError as exc:
-        print(f"warning: cache entry not stored: {cache_dir} ({exc})",
-              file=sys.stderr)
-    return ch
-
-
 def _render_character(ch, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(character_to_json(ch), sort_keys=True)
@@ -211,7 +189,6 @@ def _render_character(ch, fmt: str) -> str:
 def cmd_char(args, parser) -> int:
     weight = _resolve_weight(args, parser)
     if args.method == "both":
-        # A cross-check compares fresh computations, never cached blobs.
         ch = dominant_character_direct(weight)
         if ch != dominant_character_fermionic(weight):
             print("character mismatch between direct and fermionic methods",
@@ -223,7 +200,8 @@ def cmd_char(args, parser) -> int:
         ch = (dominant_character_direct if args.method == "direct"
               else dominant_character_fermionic)(weight)
     else:
-        ch = _character_with_cache(args, weight)
+        ch = (character_direct if args.method == "direct"
+              else character_fermionic)(weight)
     print(_render_character(ch, args.format))
     return 0
 
@@ -323,10 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "latex terms: m q^{s} e^{...}")
     p.add_argument("--dominant", action="store_true",
                    help="print only the terms of dominant weight, which fix "
-                        "the character; computed afresh, without the cache")
-    p.add_argument("--cache-dir", default=None,
-                   help=f"cache directory (default: ${CACHE_ENV_VAR})")
-    p.add_argument("--verbose", action="store_true")
+                        "the character")
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("branch", help="filtration and branching listings")

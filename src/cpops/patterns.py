@@ -23,20 +23,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from .rootsys import WeightVector, lambda_tuple
 
 
-@dataclass(frozen=True)
-class PatternC:
+class PatternC(namedtuple("PatternC", "rank eta_rows lambda_rows")):
     """Pattern of rank r: r eta-rows and r lambda-rows (full) or r-1
     lambda-rows (restricted), row j of length j."""
 
-    rank: int
-    eta_rows: tuple
-    lambda_rows: tuple
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple]) -> PatternC:

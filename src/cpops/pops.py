@@ -12,7 +12,7 @@ Counts are plain Python integers, so the product formulas never overflow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, log10
 from typing import Iterator, Sequence
@@ -88,22 +88,19 @@ def enumerate_f(m: int) -> Iterator[FPair]:
             yield (ell, s)
 
 
-@dataclass(frozen=True)
-class Pop:
+class Pop(namedtuple("Pop", "pattern overlays")):
     """Pattern plus one box-fitting partition per gap position, aligned with
     ``pattern.positions``; a restricted pattern has no positions at the top
     level."""
 
-    pattern: PatternC
-    overlays: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PbwMonomial:
+class PbwMonomial(namedtuple("PbwMonomial", "factors")):
     """Ordered word of (label, s) factors x-_alpha (x) t^s; each label is a gap
     position (i, j, barred), the plain tuple naming the positive root alpha."""
 
-    factors: tuple
+    __slots__ = ()
 
     @property
     def t_degree(self) -> int:

@@ -67,10 +67,6 @@ class DominantWeight(tuple):
             raise ValueError(f"omega coordinates must be non-negative: {m}")
         return cls(omegas_to_lambda(m))
 
-    @classmethod
-    def from_lambdas(cls, lam: Sequence[int]) -> "DominantWeight":
-        return cls(lam)
-
     rank = property(len)
     lam = property(tuple)
     omegas = property(lambda_to_omegas)

@@ -176,7 +176,7 @@ def test_c6_recursions():
                     target = tuple(eta[i] - sub_ells[i] for i in range(r - 1))
                     sub_expected[(sub_ells, parts)] = sum(
                         1 for _ in enumerate_pops(
-                            DominantWeight.from_lambdas(target)))
+                            DominantWeight(target)))
                 assert dict(sub_groups) == sub_expected, (w, eta)
     print("\n[PASS] criterion 6: the overlay enumeration refines exactly "
           "through restricted and rank-lowered enumerations (r<=3, sum(m)<=2)")
@@ -196,14 +196,14 @@ def test_c7_branching():
                     rhs += 1
                 else:
                     rhs += sum(1 for _ in enumerate_patterns(
-                        DominantWeight.from_lambdas(nu)))
+                        DominantWeight(nu)))
             assert lhs == rhs, (w, eta)
 
         if w.rank < 2:
             continue
         terms = weyl_filtration(w)
         booked = sum(
-            t.mult * pop_count_formula(DominantWeight.from_lambdas(t.target))
+            t.mult * pop_count_formula(DominantWeight(t.target))
             for t in terms)
         assert booked == pop_count_formula(w), w
 
@@ -213,12 +213,12 @@ def test_c7_branching():
         for t in terms:
             if t.target not in cache:
                 cache[t.target] = specialize_q1(character_direct(
-                    DominantWeight.from_lambdas(t.target)))
+                    DominantWeight(t.target)))
             rhs.merge(cache[t.target], scale=t.mult)
         assert lhs == rhs, w
 
     spot = weyl_filtration(DominantWeight.from_omegas((0, 1)))
-    booked = [t.mult * pop_count_formula(DominantWeight.from_lambdas(t.target))
+    booked = [t.mult * pop_count_formula(DominantWeight(t.target))
               for t in spot]
     assert booked == [2, 2, 1] and sum(booked) == 5
     print("\n[PASS] criterion 7: interlacing dimension sums, filtration "

@@ -16,13 +16,13 @@ from cpops.rootsys import DominantWeight, sweep_dominant_weights
 def count_patterns(lam_tuple):
     if not lam_tuple:
         return 1
-    return sum(1 for _ in enumerate_patterns(DominantWeight.from_lambdas(lam_tuple)))
+    return sum(1 for _ in enumerate_patterns(DominantWeight(lam_tuple)))
 
 
 def test_shtepin_branch_v_examples():
     assert shtepin_branch_v(DominantWeight.from_omegas((0, 0))) == [(0, 0)]
-    assert shtepin_branch_v(DominantWeight.from_lambdas((1, 0))) == [(0, 0), (1, 0)]
-    assert shtepin_branch_v(DominantWeight.from_lambdas((1, 1))) == [(1, 0), (1, 1)]
+    assert shtepin_branch_v(DominantWeight((1, 0))) == [(0, 0), (1, 0)]
+    assert shtepin_branch_v(DominantWeight((1, 1))) == [(1, 0), (1, 1)]
 
 
 def test_shtepin_branch_l_examples():
@@ -62,7 +62,7 @@ def test_weyl_filtration_omega2_example():
         FiltrationTerm((0, 1), (1,), 1, (0,)),
     ]
     booked = sum(
-        t.mult * pop_count_formula(DominantWeight.from_lambdas(t.target))
+        t.mult * pop_count_formula(DominantWeight(t.target))
         for t in terms
     )
     assert booked == 5
@@ -71,7 +71,7 @@ def test_weyl_filtration_omega2_example():
 def test_weyl_filtration_omega1_bookkeeping():
     terms = weyl_filtration(DominantWeight.from_omegas((1, 0)))
     booked = sum(
-        t.mult * pop_count_formula(DominantWeight.from_lambdas(t.target))
+        t.mult * pop_count_formula(DominantWeight(t.target))
         for t in terms
     )
     assert booked == 4

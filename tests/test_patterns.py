@@ -92,7 +92,7 @@ def test_enumerate_zero_weight_single_pattern():
 
 
 def test_enumerate_count_omega1_rank2():
-    pats = list(enumerate_patterns(DominantWeight.from_lambdas((1, 0))))
+    pats = list(enumerate_patterns(DominantWeight((1, 0))))
     assert len(pats) == 4
 
 

@@ -152,7 +152,7 @@ def test_pop_monomial_substitution_example():
 
 
 def test_pop_monomial_single_unbarred_factor():
-    w = DominantWeight.from_lambdas((1, 0))
+    w = DominantWeight((1, 0))
     for pop in enumerate_pops(w):
         d = differences(pop.pattern)
         if d[(1, 1, False)][0] == 1:

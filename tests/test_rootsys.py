@@ -49,13 +49,11 @@ def test_dominant_weight_consistency():
     assert w.lam == (2, 1)
     assert w == (2, 1) and hash(w) == hash((2, 1))
     assert w.rank == 2 and w.omegas == (1, 1)
-    assert DominantWeight.from_lambdas((2, 1)) == w
+    assert DominantWeight((2, 1)) == w
     with pytest.raises(ValueError):
         DominantWeight((1, 2))
     with pytest.raises(ValueError):
         DominantWeight.from_omegas((-1,))
-    with pytest.raises(ValueError):
-        DominantWeight.from_lambdas((1, 2))
 
 
 def test_root_vector_examples():
