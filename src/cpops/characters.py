@@ -10,11 +10,11 @@ row pair, and ``dominant_character_fermionic`` evaluates a lattice sum of
 Gaussian-binomial products over gap arrays, level by level, touching none of
 the pattern machinery. Each sum cuts a branch once a coordinate it has fixed
 breaks dominance, and is memoized on the few numbers the rest of its walk
-reads; sub-results are dense coefficient lists keyed by weight, and the
-character is built once at the end. ``character_direct`` and
-``character_fermionic`` expand the dominant part to the full character with
-:func:`expand_dominant`. The two must agree exactly, which is the package's
-central cross-check.
+reads: in one pass down, paths that reach the same key merge their dense
+coefficient lists, and the character is built once at the end.
+``character_direct`` and ``character_fermionic`` expand the dominant part
+to the full character with :func:`expand_dominant`. The two must agree
+exactly, which is the package's central cross-check.
 
 Gaussian binomials use the zero convention out of range: the polynomial is
 zero whenever the bottom index exceeds the top or the top is negative. Under
@@ -31,7 +31,7 @@ from . import oracle
 from .patterns import _json_field, _json_ints, interlacing_rows
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
-from .pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight  # noqa: F401
+from .pops import enumerate_pops, pop_boxes, pop_weight  # noqa: F401
 from .rootsys import DominantWeight
 
 
@@ -187,18 +187,21 @@ def q_binomial(n: int, s: int) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def _box_coeffs(ell: int, ellp: int) -> tuple:
-    # Dense count of the partitions fitting the box (ell, ellp) by size,
-    # by direct enumeration.
-    coeffs = [0] * (ell * ellp + 1)
-    for parts in partitions_in_box(ell, ellp):
-        coeffs[sum(parts)] += 1
-    return tuple(coeffs)
+    # Dense count of the partitions fitting the box (ell, ellp) by size. One
+    # whose smallest part is 0 drops it, otherwise every part loses 1, so
+    # P(a, b) = P(a - 1, b) + q^a P(a, b - 1), for a <= ell, one b at a time.
+    col = [[1]] * (ell + 1)  # b = 0: one empty partition per length
+    for b in range(1, ellp + 1):
+        prev, col = col, [[1]]
+        for a in range(1, ell + 1):
+            col.append([x + y for x, y in zip(col[-1] + [0] * b, [0] * a + prev[a])])
+    return tuple(col[-1])
 
 
 def box_generating_function(ell: int, ellp: int) -> QPolynomial:
-    """Sum of q**|s| over the partitions fitting the box (ell, ellp), computed
-    by direct enumeration and memoized per box; equals q_binomial(ell + ellp,
-    ell)."""
+    """Sum of q**|s| over the partitions fitting the box (ell, ellp), counted
+    by size with a recurrence and memoized per box; equals q_binomial(ell +
+    ellp, ell)."""
     return QPolynomial(dict(enumerate(_box_coeffs(ell, ellp))))
 
 
@@ -305,14 +308,21 @@ def _accumulate(sums: dict, key, poly: Sequence[int]) -> None:
         acc[e] += c
 
 
+def _push(below: dict, child, fixed: tuple, poly: Sequence[int], sums: dict) -> None:
+    # below[child][fixed + above] += poly * sums[above], for every tuple of
+    # coordinates ``above`` fixed before the step to ``child``.
+    acc = below.setdefault(child, {})
+    for above, sub in sums.items():
+        _accumulate(acc, fixed + above, _dense_mul(poly, sub))
+
+
 def _dense_character(rank: int, sums: dict) -> "GradedCharacter":
-    # The character holding dense polynomials keyed by weight; each weight
-    # may carry trailing coordinates past the rank, which are dropped.
+    # The character holding dense polynomials keyed by weight.
     ch = GradedCharacter(rank)
     for weight, poly in sums.items():
         for grade, mult in enumerate(poly):
             if mult:
-                ch.terms[grade, weight[:rank]] = mult
+                ch.terms[grade, weight] = mult
     return ch
 
 
@@ -340,11 +350,11 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     lam^{j-1} fixes a_j = 2|eta^j| - |lam^j| - |lam^{j-1}|, which must be at
     least a_{j+1} (a_{r+1} = 0; lam^0 is empty). So the rest of the sum
     depends on a lam^j row only through (lam^j, a_{j+1}), and on an eta^j row
-    through (eta^j, |lam^j|, a_{j+1}). A first pass collects these keys row
-    by row, each with its children and the product of box generating
-    functions of the row pair, memoized per pair; a second pass, from the
-    bottom row up, maps every key to dense polynomials keyed by the
-    coordinates a_1..a_j fixed below it. No Gaussian binomial is used.
+    through (eta^j, |lam^j|, a_{j+1}). One pass down the rows keeps, per key
+    of the current row, dense polynomials keyed by the coordinates a_{j+1}..
+    a_r fixed above it, and pushes each, times the product of box generating
+    functions of the row pair (memoized per pair), to every child key; paths
+    that reach the same key merge there. No Gaussian binomial is used.
     """
     pairs = {}
 
@@ -353,34 +363,24 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
             pairs[upper, lower] = _gap_boxes(upper, lower)
         return pairs[upper, lower]
 
-    edges = []  # per row: key -> [(child key, pair product, fixed coordinate)]
-    keys = [(lam.lam, 0)]
+    state = {(lam.lam, 0): {(): (1,)}}
     for k in range(2 * lam.rank):
-        level = {}
-        for key in keys:
+        below = {}
+        for key, sums in state.items():
             if k % 2 == 0:  # (lam^j, a_{j+1}) -> eta^j
                 row, a_next = key
                 upper = row + (0,)
-                level[key] = [((eta, sum(row), a_next), boxes(upper, eta), ())
-                              for eta in interlacing_rows(upper)]
+                for eta in interlacing_rows(upper):
+                    _push(below, (eta, sum(row), a_next), (), boxes(upper, eta), sums)
             else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
                 eta, lam_sum, a_next = key
-                level[key] = children = []
                 for row in interlacing_rows(eta):
                     a = 2 * sum(eta) - lam_sum - sum(row)
                     if a >= a_next:
-                        children.append(((row, a), boxes(eta, row), (a,)))
-        edges.append(level)
-        keys = list(dict.fromkeys(c for cs in level.values() for c, _, _ in cs))
-    sums = {key: {(): (1,)} for key in keys}
-    for level in reversed(edges):
-        below, sums = sums, {}
-        for key, children in level.items():
-            acc = sums[key] = {}
-            for child, poly, fixed in children:
-                for prefix, sub in below[child].items():
-                    _accumulate(acc, prefix + fixed, _dense_mul(poly, sub))
-    return _dense_character(lam.rank, sums[lam.lam, 0])
+                        _push(below, (row, a), (a,), boxes(eta, row), sums)
+        state = below
+    # One final key ((), a_1) per value of a_1, so their weights are disjoint.
+    return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()})
 
 
 def character_direct(lam: DominantWeight) -> GradedCharacter:
@@ -448,30 +448,27 @@ def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
     a_t = lam_t - T_t for t <= j. So the sum is memoized on the key (T_1..
     T_{j+1}, a_{j+1} as walked so far, a_{j+2}, which is final). The barred
     entries (i, j + 1), i <= j, also move a_{j+1}, so it is no function of
-    the T_i and must be in the key. A first pass collects the keys level by
-    level, each with its children and the summed binomial products leading
-    to them; a second pass, from the leaves up, maps every key to dense
-    polynomials keyed by the final a_1..a_{j+1}. The walk touches no pattern
-    code.
+    the T_i and must be in the key. One pass down the levels keeps, per key,
+    dense polynomials keyed by the final a_{j+2}..a_r, and pushes each, times
+    the summed binomial products of level j leading to a child key, to that
+    child; paths that reach the same key merge there. The walk touches no
+    pattern code.
     """
     r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
-    root = ((0,) * (r + 1), 0, 0)
-    edges = []  # per level: key -> {child key: summed binomial products}
-    keys = [root]
+    state = {((0,) * (r + 1), 0, 0): {(): (1,)}}
     for j in range(r, 0, -1):
-        level = {key: _fermionic_level(omegas, lam_t, j, key) for key in keys}
-        edges.append(level)
-        keys = list(dict.fromkeys(c for cs in level.values() for c in cs))
-    # After level 1 a key is (T_1, a_1, a_2).
-    sums = {key: {(key[1],): (1,)} for key in keys if key[1] >= key[2]}
-    for level in reversed(edges):
-        below, sums = sums, {}
-        for key, children in level.items():
-            acc = sums[key] = {}
-            for child, poly in children.items():
-                for prefix, sub in below.get(child, {}).items():
-                    _accumulate(acc, prefix + (child[2],), _dense_mul(poly, sub))
-    return _dense_character(r, sums[root])
+        below = {}
+        for key, sums in state.items():
+            for child, poly in _fermionic_level(omegas, lam_t, j, key).items():
+                # a_{j+1} is final now; a_{r+1} = 0 is no coordinate.
+                _push(below, child, (child[2],) if j < r else (), poly, sums)
+        state = below
+    weights = {}
+    for (_, a_1, a_2), sums in state.items():  # after level 1: (T, a_1, a_2)
+        if a_1 >= a_2:
+            for above, poly in sums.items():
+                _accumulate(weights, (a_1,) + above, poly)
+    return _dense_character(r, weights)
 
 
 def character_fermionic(lam: DominantWeight) -> GradedCharacter:

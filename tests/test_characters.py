@@ -24,7 +24,7 @@ from cpops.characters import (
     total_dim,
 )
 from cpops.oracle import signed_orbit
-from cpops.pops import enumerate_pops, pop_boxes, pop_weight
+from cpops.pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
 from cpops.rootsys import DominantWeight, sweep_dominant_weights
 
 
@@ -89,6 +89,19 @@ def test_box_generating_function_examples():
     assert box_generating_function(0, 7) == QPolynomial.one()
     assert box_generating_function(1, 1) == QPolynomial({0: 1, 1: 1})
     assert box_generating_function(2, 2) == QPolynomial({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+
+
+def test_box_coeffs_equal_enumeration():
+    # The direct walk counts box partitions by size with a recurrence;
+    # listing them is the reference.
+    from cpops.characters import _box_coeffs
+
+    for ell in range(9):
+        for ellp in range(9):
+            counts = [0] * (ell * ellp + 1)
+            for parts in partitions_in_box(ell, ellp):
+                counts[sum(parts)] += 1
+            assert _box_coeffs(ell, ellp) == tuple(counts), (ell, ellp)
 
 
 def test_box_generating_function_equals_q_binomial():
@@ -169,17 +182,20 @@ def test_methods_share_no_enumeration(monkeypatch):
             m.setattr(characters, name, broken)
         assert character_direct(w) == expected
     for name in ("interlacing_rows", "box_generating_function", "_box_coeffs",
-                 "_gap_boxes", "partitions_in_box"):
+                 "_gap_boxes"):
         monkeypatch.setattr(characters, name, broken)
     assert character_fermionic(w) == expected
 
 
 # SHA-256 of json.dumps(character_to_json(dominant part), sort_keys=True),
 # recorded from the pattern-by-pattern walk, with its term count and total
-# multiplicity. Both weights lie beyond the per-POP accumulation test.
+# multiplicity; (2, 2, 2, 2) was recorded from the two-pass memoized walks.
+# All three weights lie beyond the per-POP accumulation test.
 DOMINANT_DIGESTS = {
     (2, 1, 1, 1): (224, 84204,
                    "44178aefdaa66546b9580260e621ce45ff3d111d408c40b614a4f54c24a7c375"),
+    (2, 2, 2, 2): (3271, 3838446799,
+                   "f6cc5fe337e98e79b1ee51f79a93c87032b197d02fe886b7ff0a86e66901ef05"),
     (1, 1, 1, 1, 1): (673, 7865562,
                       "680dd57ff951bc6fe5877da99c061246c97812f0db485d80ae9aa7110ae633ac"),
 }
@@ -193,6 +209,13 @@ def test_dominant_parts_match_recorded_digests(method, omegas):
     assert (len(ch.terms), total_dim(ch)) == (terms, total)
     blob = json.dumps(character_to_json(ch), sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_dominant_parts_agree_on_large_boxes():
+    # Rank 1 at 40 has gap boxes up to (20, 20), of comb(40, 20) partitions
+    # each, which the direct walk counts without listing.
+    w = DominantWeight.from_omegas((40,))
+    assert dominant_character_direct(w) == dominant_character_fermionic(w)
 
 
 def test_dominant_parts_agree_and_are_dominant():
