@@ -171,18 +171,12 @@ def q_binomial(n: int, s: int) -> QPolynomial:
     """Gaussian binomial with top n and bottom s.
 
     Zero polynomial when s < 0, n < 0, or s > n; otherwise a polynomial with
-    non-negative coefficients, degree s*(n-s), and value comb(n, s) at q = 1.
-    Built without recursion and without keeping the entries on the way, from
-    [m, 0] = 1, m = n - min(s, n - s): step t multiplies [m + t - 1, t - 1] by
-    1 - q^(m+t) and divides exactly by 1 - q^t.
+    non-negative coefficients, degree s*(n-s), and value comb(n, s) at q = 1,
+    read from the row n that the fermionic walk grows.
     """
     if s < 0 or n < 0 or s > n:
         return QPolynomial.zero()
-    s = min(s, n - s)
-    coeffs = [1]
-    for t in range(1, s + 1):
-        coeffs = _binomial_step(coeffs, n - s + t, t, t * (n - s))
-    return QPolynomial(dict(enumerate(coeffs)))
+    return QPolynomial(dict(enumerate(_binomial_coeffs(n, s))))
 
 
 @lru_cache(maxsize=None)

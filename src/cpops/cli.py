@@ -16,7 +16,9 @@ stdout early.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import sys
 
@@ -33,8 +35,17 @@ from .characters import (
     expand_dominant,
 )
 from .oracle import weyl_dim
-from .patterns import enumerate_patterns, enumerate_restricted_patterns, pattern_to_json
+from .patterns import (
+    differences,
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    pattern_to_json,
+)
+# The pops and monomials listings render per pattern and call none of
+# pop_to_json, pop_monomial and monomial_to_json, which stay the reference
+# for their lines; perfbench/traced.py wraps these names here.
 from .pops import (
+    _BOXES,
     enumerate_pops,
     enumerate_restricted_pops,
     monomial_to_json,
@@ -142,9 +153,12 @@ def _print_stream(items, to_json, to_text, fmt: str) -> None:
             print(to_text(item))
 
 
+def _rows_json(rows) -> str:
+    return json.dumps([list(r) for r in rows])
+
+
 def _pattern_text(p) -> str:
-    return (f"eta={json.dumps([list(r) for r in p.eta_rows])} "
-            f"lambda={json.dumps([list(r) for r in p.lambda_rows])}")
+    return f"eta={_rows_json(p.eta_rows)} lambda={_rows_json(p.lambda_rows)}"
 
 
 def cmd_patterns(args, parser) -> int:
@@ -155,24 +169,101 @@ def cmd_patterns(args, parser) -> int:
     return 0
 
 
-def _pop_text(p) -> str:
-    overlays = {label_text(pos): list(parts)
-                for pos, parts in zip(p.pattern.positions, p.overlays)}
-    return _pattern_text(p.pattern) + f" overlays={json.dumps(overlays, sort_keys=True)}"
+class _PartsJson(dict):
+    # Partitions rendered as JSON arrays "[p_1, p_2, ...]", keyed by box
+    # (ell, ellp). Only the boxes that the pops memo keeps, of at most 64
+    # partitions, are kept here, so a rank-1 weight, whose every pattern has
+    # its own box, grows neither memo.
+    def __missing__(self, box):
+        rendered = ["[" + ", ".join(map(str, parts)) + "]" for parts in _BOXES[box]]
+        if box in _BOXES:
+            self[box] = rendered
+        return rendered
+
+
+_PARTS_JSON = _PartsJson()
+
+
+def _position_json(pos) -> str:
+    # The "barred", "i" and "j" members of a position's JSON object.
+    i, j, barred = pos
+    return f'"barred": {"true" if barred else "false"}, "i": {i}, "j": {j}'
+
+
+def _write_lines(write, head: str, combos, tail: str, sep: str = ", ") -> None:
+    # One line per combination of slot strings: head, the joined slots, tail.
+    for combo in combos:
+        write(head)
+        write(sep.join(combo))
+        write(tail)
+
+
+def _pop_json_lines(pattern) -> tuple:
+    # The lines json.dumps(pop_to_json(p), sort_keys=True) gives for the
+    # pattern's overlaid patterns, as (head, combinations of slots, tail).
+    slots = []
+    for pos, box in differences(pattern).items():
+        prefix = f'{{{_position_json(pos)}, "parts": '
+        slots.append([f"{prefix}{parts}}}" for parts in _PARTS_JSON[box]])
+    head = (f'{{"eta": {_rows_json(pattern.eta_rows)}, '
+            f'"lambda": {_rows_json(pattern.lambda_rows)}, "overlays": [')
+    return head, itertools.product(*slots), f'], "rank": {pattern.rank}}}\n'
+
+
+def _pop_text_lines(pattern) -> tuple:
+    # The pattern text, then the overlays as one JSON object keyed by label
+    # with its keys sorted. Each slot starts with its quoted label, and no
+    # label is a prefix of another, so the positions sort by label when they
+    # sort by their first slots.
+    slots = []
+    for pos, box in differences(pattern).items():
+        key = f'"{label_text(pos)}": '
+        slots.append([key + parts for parts in _PARTS_JSON[box]])
+    combos = itertools.product(*slots)
+    if len(slots) > 1:  # one or no slot is already in order
+        firsts = [s[0] for s in slots]
+        order = sorted(range(len(slots)), key=firsts.__getitem__)
+        combos = map(operator.itemgetter(*order), combos)
+    return f"{_pattern_text(pattern)} overlays={{", combos, "}\n"
 
 
 def cmd_pops(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    items = (enumerate_restricted_pops(weight.lam) if args.restricted
-             else enumerate_pops(weight))
-    _print_stream(items, pop_to_json, _pop_text, args.format)
+    patterns = (enumerate_restricted_patterns(weight.lam) if args.restricted
+                else enumerate_patterns(weight))
+    lines = _pop_text_lines if args.format == "text" else _pop_json_lines
+    write = sys.stdout.write
+    for pattern in patterns:
+        _write_lines(write, *lines(pattern))
     return 0
 
 
 def cmd_monomials(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    words = (pop_monomial(p) for p in enumerate_pops(weight))
-    _print_stream(words, monomial_to_json, lambda w: w.text(), args.format)
+    text = args.format == "text"
+    sep = " " if text else ", "
+    write = sys.stdout.write
+    for pattern in enumerate_patterns(weight):
+        # Per position, one slot per partition: its factors, joined. The one
+        # partition of an empty box has no factor, so such positions drop out.
+        slots, degrees = [], []
+        for pos, (ell, ellp) in differences(pattern).items():
+            if not ell:
+                continue
+            prefix, suffix = ((f"x-{label_text(pos)}@t^", "") if text else
+                              (f'{{{_position_json(pos)}, "t": ', "}"))
+            by_t = [f"{prefix}{t}{suffix}" for t in range(ellp + 1)]
+            parts = _BOXES[ell, ellp]
+            slots.append([sep.join(map(by_t.__getitem__, p)) for p in parts])
+            if not text:
+                degrees.append(list(map(sum, parts)))
+        if text:  # the empty word prints "1"
+            _write_lines(write, "", itertools.product(*(slots or [["1"]])), "\n", sep)
+            continue
+        for combo, degree in zip(itertools.product(*slots), itertools.product(*degrees)):
+            write(f'{{"degree": {sum(degree)}, "factors": [')
+            write(sep.join(combo))
+            write("]}\n")
     return 0
 
 

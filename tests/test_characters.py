@@ -74,15 +74,25 @@ def test_q_binomial_deep_tops():
 
 
 def test_binomial_rows_equal_q_binomial():
-    # The fermionic walk reads rows grown from [n, s - 1] to [n, s];
-    # q_binomial builds each entry on its own.
-    from cpops.characters import _binomial_coeffs
+    # The fermionic walk reads rows grown from [n, s - 1] to [n, s], and
+    # q_binomial reads the same rows; the box recurrence, which counts the
+    # partitions of the box (s, n - s) by size, is the reference for both.
+    from cpops.characters import _binomial_coeffs, _box_coeffs
 
     for n in range(25):
         for s in range(n + 1):
             poly = q_binomial(n, s)
             dense = tuple(poly.coeffs().get(e, 0) for e in range(poly.degree() + 1))
-            assert _binomial_coeffs(n, s) == dense, (n, s)
+            assert _binomial_coeffs(n, s) == dense == _box_coeffs(s, n - s), (n, s)
+
+
+def test_q_binomial_equals_box_generating_function():
+    # Two independent recurrences: Gaussian-binomial rows grown by
+    # multiplying and dividing by 1 - q^a, and partitions in a box counted
+    # by their smallest part.
+    for n in range(13):
+        for s in range(n + 1):
+            assert q_binomial(n, s) == box_generating_function(s, n - s), (n, s)
 
 
 def test_box_generating_function_examples():

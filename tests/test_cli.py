@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,15 @@ from cpops import branching, cli
 from cpops.cache import cache_lookup, cache_store
 from cpops.characters import character_direct, character_from_json
 from cpops.patterns import enumerate_patterns, pattern_from_json
-from cpops.pops import enumerate_pops, pop_from_json
-from cpops.rootsys import DominantWeight
+from cpops.pops import (
+    enumerate_pops,
+    enumerate_restricted_pops,
+    monomial_to_json,
+    pop_from_json,
+    pop_monomial,
+    pop_to_json,
+)
+from cpops.rootsys import DominantWeight, label_text, sweep_dominant_weights
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +205,70 @@ def test_monomials_stream(capsys):
     assert lines[-1] == "1"
 
 
+def _pop_text(p) -> str:
+    # The pops text line of one overlaid pattern, rendered from the Pop.
+    overlays = {label_text(pos): list(parts)
+                for pos, parts in zip(p.pattern.positions, p.overlays)}
+    return (f"eta={json.dumps([list(r) for r in p.pattern.eta_rows])} "
+            f"lambda={json.dumps([list(r) for r in p.pattern.lambda_rows])} "
+            f"overlays={json.dumps(overlays, sort_keys=True)}")
+
+
+def _listing(capsys, *argv) -> list:
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    assert out.endswith("\n"), argv
+    return out.split("\n")[:-1]
+
+
+SWEEP = [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]
+
+
+@pytest.mark.parametrize("weight", SWEEP, ids=lambda w: ",".join(map(str, w.omegas)))
+def test_streams_equal_the_per_pop_serializers(capsys, weight):
+    # The CLI renders each pattern's overlays at once; pop_to_json,
+    # pop_monomial and monomial_to_json, one overlaid pattern at a time, are
+    # the reference, line for line.
+    lam = ",".join(map(str, weight.lam))
+    pops = list(enumerate_pops(weight))
+    restricted = list(enumerate_restricted_pops(weight.lam))
+    words = [pop_monomial(p) for p in pops]
+    expected = {
+        ("pops", "--format", "json"):
+            [json.dumps(pop_to_json(p), sort_keys=True) for p in pops],
+        ("pops", "--format", "text"): [_pop_text(p) for p in pops],
+        ("pops", "--restricted", "--format", "json"):
+            [json.dumps(pop_to_json(p), sort_keys=True) for p in restricted],
+        ("pops", "--restricted", "--format", "text"): [_pop_text(p) for p in restricted],
+        ("monomials", "--format", "text"): [w.text() for w in words],
+        ("monomials", "--format", "json"):
+            [json.dumps(monomial_to_json(w), sort_keys=True) for w in words],
+    }
+    for argv, lines in expected.items():
+        assert lines, argv
+        assert _listing(capsys, *argv, "--lambdas", lam) == lines, argv
+
+
+def test_stream_edge_cases(capsys):
+    # Restricted rank 1 has no gap position, full rank 1 has one, and a word
+    # with no factor prints "1".
+    assert _listing(capsys, "pops", "--restricted", "--format", "text",
+                    "--lambdas", "0") == ["eta=[[0]] lambda=[] overlays={}"]
+    assert _listing(capsys, "pops", "--restricted", "--lambdas", "2") == [
+        '{"eta": [[2]], "lambda": [], "overlays": [], "rank": 1}']
+    assert _listing(capsys, "pops", "--format", "text", "--lambdas", "1") == [
+        'eta=[[0]] lambda=[[1]] overlays={"(1,1~)": [0]}',
+        'eta=[[1]] lambda=[[1]] overlays={"(1,1~)": []}']
+    assert _listing(capsys, "pops", "--lambdas", "0") == [
+        '{"eta": [[0]], "lambda": [[0]], "overlays": '
+        '[{"barred": true, "i": 1, "j": 1, "parts": []}], "rank": 1}']
+    assert _listing(capsys, "monomials", "--lambdas", "0") == ["1"]
+    assert _listing(capsys, "monomials", "--format", "json", "--lambdas", "0,0") == [
+        '{"degree": 0, "factors": []}']
+    assert _listing(capsys, "monomials", "--format", "json", "--lambdas", "1")[0] == (
+        '{"degree": 0, "factors": [{"barred": true, "i": 1, "j": 1, "t": 0}]}')
+
+
 def test_branch_listings(capsys):
     code, out, _ = run_cli(capsys, "branch", "--lambdas", "1,1",
                            "--kind", "filtration")
@@ -358,6 +430,18 @@ def test_large_boxes_are_not_memoized():
     assert grown < 15 * 1024
 
 
+def test_rendered_partitions_keep_only_small_boxes(capsys):
+    # Rank 1, 12 omega_1: boxes of up to comb(12, 6) = 924 partitions. The
+    # rendered partitions, like the partitions themselves, are kept only for
+    # boxes of at most 64.
+    assert cli.main(["pops", "--omegas", "12"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 ** 12
+    assert cli._PARTS_JSON
+    for (ell, ellp), rendered in cli._PARTS_JSON.items():
+        assert len(rendered) == comb(ell + ellp, ell) <= 64, (ell, ellp)
+    assert (6, 6) not in cli._PARTS_JSON
+
+
 def test_cache_round_trip(tmp_path):
     w = DominantWeight.from_omegas((2,))
     ch = character_direct(w)
@@ -425,11 +509,9 @@ def test_benchmark_char_digests_match(capsys):
     if not path.is_file():
         pytest.skip("perfbench/ is not present")
     digests = json.loads(path.read_text())
-    # Every char key, and the first key of each stream rung of stream-pops.
-    keys = [key for key in digests if key.startswith("char ")]
-    assert keys
-    keys += ["pops --format json --omegas 1,1,2", "pops --format text --omegas 2,1,1",
-             "monomials --omegas 2,1,1", "pops --restricted --format json --omegas 1,1,0,1"]
+    # Every key: the characters and each pool member of the stream rungs.
+    keys = list(digests)
+    assert sum(key.startswith(("pops ", "monomials ")) for key in keys) == 11
     for key in keys:
         assert cli.main(key.split()) == 0, key
         out = capsys.readouterr().out
