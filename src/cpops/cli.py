@@ -61,6 +61,10 @@ from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 # for converting an int to a string.
 MAX_DIGITS = 4300
 
+# `verify --rank R --max-total T` refuses sweeps of more weights than this:
+# at about 6 ms per rank-3 weight, 10**6 of them take over an hour and a half.
+MAX_SWEEP = 10 ** 6
+
 MONOMIAL_GRAMMAR = (
     'monomial text grammar: WORD := "1" | FACTOR (" " FACTOR)* ; '
     'FACTOR := "x-(" I "," J ["~"] ")@t^" S with "~" marking a barred label'
@@ -323,11 +327,16 @@ def cmd_verify(args, parser) -> int:
     elif args.max_total < 0:
         parser.error(f"--max-total must be non-negative, got {args.max_total}")
     else:
-        try:
-            weights = list(sweep_dominant_weights(args.rank, args.max_total))
-        except OverflowError:
-            parser.error(f"sweep too large: --rank {args.rank} "
-                         f"--max-total {args.max_total}")
+        # The sweep has comb(rank + max_total, rank) weights; the product
+        # runs over the smaller side and stops once it passes the bound.
+        a, b = sorted((args.rank, args.max_total))
+        size = 1
+        for i in range(1, a + 1):
+            size = size * (b + i) // i
+            if size > MAX_SWEEP:
+                parser.error(f"sweep too large: --rank {args.rank} --max-total "
+                             f"{args.max_total} has more than {MAX_SWEEP} weights")
+        weights = list(sweep_dominant_weights(args.rank, args.max_total))
     reports = [verify_identities(w) for w in weights]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))

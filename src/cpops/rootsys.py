@@ -9,7 +9,6 @@ fundamental-weight multiplicities (m_1, ..., m_r), which it derives.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from typing import Iterator, Sequence
 
@@ -157,7 +156,18 @@ def inner(u: Sequence[int], v: Sequence[int]) -> int:
 
 def sweep_dominant_weights(rank: int, max_total: int) -> Iterator[DominantWeight]:
     """Dominant weights with all omega-multiplicities summing to at most
-    ``max_total``, in lexicographic order of the multiplicity tuple."""
-    for m in itertools.product(range(max_total + 1), repeat=rank):
-        if sum(m) <= max_total:
-            yield DominantWeight.from_omegas(m)
+    ``max_total``, in lexicographic order of the multiplicity tuple. Each
+    step goes straight to the next such tuple, so none is filtered out."""
+    m, total = [0] * rank, 0
+    while total <= max_total:
+        yield DominantWeight.from_omegas(m)
+        k = rank - 1
+        if total == max_total:  # zero the last non-zero entry, carry left
+            k = max((i for i in range(rank) if m[i]), default=0)
+            total -= m[k]
+            m[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        m[k] += 1
+        total += 1

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from cpops import branching
+from cpops import branching, pops
 from cpops.branching import (
     FiltrationTerm,
     shtepin_branch_l,
@@ -183,9 +185,11 @@ VERIFY_FAULTS = {
     "pop-formula-plus-one": (
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
         {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
-    "restricted-pops-drops-last": (
-        "enumerate_restricted_pops", lambda f: lambda eta: list(f(eta))[:-1],
-        {"pop-refinement-by-top-block", "restricted-refinement-by-top-block"}),
+    "restricted-patterns-drops-last": (
+        "enumerate_restricted_patterns", lambda f: lambda eta: list(f(eta))[:-1],
+        {"pop-refinement-by-top-block", "restricted-refinement-by-top-block",
+         "irreducible-dim-vs-intermediate-sum",
+         "intermediate-dim-vs-irreducible-sum"}),
 }
 
 
@@ -199,3 +203,32 @@ def test_verify_identities_reports_each_fault(monkeypatch, fault):
     assert {e.check for e in failed} == failing
     # Equal summaries with different maps fail through the witness alone.
     assert all(e.witness for e in failed if e.lhs == e.rhs)
+
+
+def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
+    def refuse(pattern):
+        raise AssertionError("an overlaid pattern was built")
+    monkeypatch.setattr(pops, "_overlays_for", refuse)
+    assert verify_identities(DominantWeight.from_omegas((1, 1, 1))).ok
+
+
+def test_verify_identities_walks_each_stream_once(monkeypatch):
+    calls = Counter()
+    for name in ("enumerate_patterns", "enumerate_restricted_patterns"):
+        def counted(row, stream=getattr(branching, name), name=name):
+            calls[tuple(row), name] += 1
+            return stream(row)
+        monkeypatch.setattr(branching, name, counted)
+    lam = DominantWeight.from_omegas((1, 1, 1))
+    assert verify_identities(lam).ok
+    # lam's full stream: the weight loop and the top-block walk.
+    assert calls.pop((lam.lam, "enumerate_patterns")) == 2
+    assert {name for _, name in calls} == {
+        "enumerate_patterns", "enumerate_restricted_patterns"}
+    assert set(calls.values()) == {1}
+
+
+def test_verify_identities_rank4_sweep():
+    for w in sweep_dominant_weights(4, 2):
+        report = verify_identities(w)
+        assert report.ok, report.to_text()

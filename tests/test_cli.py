@@ -340,6 +340,9 @@ def test_usage_error_bad_weight(capsys):
 # Inputs whose usage error must carry a specific message.
 BAD_INPUT_MESSAGES = {
     ("dim", "--omegas", "-1"): "omega coordinates must be non-negative",
+    ("verify", "--rank", "2", "--max-total", "100000000000000000000"):
+        "sweep too large",
+    ("verify", "--rank", "2", "--max-total", "3000000000"): "sweep too large",
 }
 
 
@@ -348,6 +351,8 @@ BAD_INPUT_MESSAGES = {
     ["verify", "--rank", "-1"],
     ["verify", "--rank", "2", "--max-total", "-1"],
     ["verify", "--rank", "2", "--max-total", "100000000000000000000"],
+    # comb(3e9 + 2, 2) weights; once a MemoryError (exit 3) building the list.
+    ["verify", "--rank", "2", "--max-total", "3000000000"],
     ["dim", "--omegas", "-1"],
     ["char", "--lambdas", "1,2"],
     ["pops", "--lambdas", "-1"],

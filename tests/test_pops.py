@@ -1,9 +1,17 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 
-from cpops.patterns import PatternC, differences, pattern_weight
+from cpops.branching import _top_block_walk, shtepin_branch_v
+from cpops.patterns import (
+    PatternC,
+    differences,
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    pattern_weight,
+)
 from cpops.pops import (
     PbwMonomial,
     Pop,
@@ -244,25 +252,35 @@ def test_pop_json_round_trip():
             pop_from_json({k: v for k, v in first.items() if k != key})
 
 
+def _groups_per_pop(pops, top, k):
+    # Overlaid patterns bounded by ``top`` grouped by top - rows[-2] and the
+    # overlays of their last k positions; a rank-1 restricted pattern has one
+    # row and an empty top block.
+    groups = Counter()
+    for pop in pops:
+        ells = tuple(a - b for a, b in zip(top, pop.pattern.rows[-2])) if k else ()
+        groups[ells, pop.overlays[len(pop.overlays) - k:]] += 1
+    return groups
+
+
 def test_refinement_by_top_block_small():
     # splitting the overlaid patterns on their top barred block reproduces
-    # the admissible block set crossed with restricted enumerations
-    for w in sweep_dominant_weights(2, 2):
-        r = w.rank
-        groups = {}
-        for pop in enumerate_pops(w):
-            lam_row = pop.pattern.lambda_rows[-1]
-            eta_row = pop.pattern.eta_rows[-1]
-            key = (
-                tuple(a - b for a, b in zip(lam_row, eta_row)),
-                pop.overlays[-r:],
-            )
-            groups[key] = groups.get(key, 0) + 1
-        expected = {}
-        for combo in itertools.product(*(list(enumerate_f(m)) for m in w.omegas)):
-            ells = tuple(e for e, _ in combo)
-            parts = tuple(s for _, s in combo)
-            eta = tuple(l - e for l, e in zip(w.lam, ells))
-            expected[(ells, parts)] = sum(
-                1 for _ in enumerate_restricted_pops(eta))
-        assert groups == expected, w
+    # the admissible block set crossed with restricted enumerations, and the
+    # box-product walk of verify_identities reproduces the per-POP groups
+    for r in (1, 2, 3):
+        for w in sweep_dominant_weights(r, 2):
+            groups = _groups_per_pop(enumerate_pops(w), w.lam, r)
+            expected = {}
+            for combo in itertools.product(*(list(enumerate_f(m)) for m in w.omegas)):
+                ells = tuple(e for e, _ in combo)
+                parts = tuple(s for _, s in combo)
+                eta = tuple(l - e for l, e in zip(w.lam, ells))
+                expected[(ells, parts)] = sum(
+                    1 for _ in enumerate_restricted_pops(eta))
+            assert groups == expected, w
+            assert _top_block_walk(w.lam, False) == (
+                sum(1 for _ in enumerate_patterns(w)), groups), w
+            for eta in shtepin_branch_v(w):
+                assert _top_block_walk(eta, True) == (
+                    sum(1 for _ in enumerate_restricted_patterns(eta)),
+                    _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta

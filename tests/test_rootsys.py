@@ -145,3 +145,17 @@ def test_sweep_dominant_weights():
     assert len(weights) == 6
     assert all(sum(w.omegas) <= 2 for w in weights)
     assert len({w.omegas for w in weights}) == 6
+
+
+
+def test_sweep_dominant_weights_order_and_size():
+    # The old definition filtered every (max_total + 1)**rank tuple; the
+    # sweep must give the same tuples in the same order without doing so.
+    for rank, max_total in ((3, 2), (4, 2), (1, 3), (2, 0), (2, -1)):
+        filtered = [m for m in itertools.product(range(max_total + 1), repeat=rank)
+                    if sum(m) <= max_total]
+        assert [w.omegas for w in sweep_dominant_weights(rank, max_total)] == filtered
+    # 65**64 tuples would never be filtered; the sweep has 65 weights.
+    weights = list(sweep_dominant_weights(64, 1))
+    assert len(weights) == 65
+    assert weights[0].omegas == (0,) * 64 and weights[-1].omegas == (1,) + (0,) * 63
