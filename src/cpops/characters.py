@@ -16,6 +16,14 @@ coefficient lists, and the character is built once at the end.
 to the full character with :func:`expand_dominant`. The two must agree
 exactly, which is the package's central cross-check.
 
+Each output format has one writer, ``write_json``, ``write_csv``,
+``write_latex`` or ``write_text``, which writes a character through a
+``write`` callable, optionally expanded to its signed orbits on the fly: each
+distinct weight's orbit is computed, sorted and rendered once, and every
+grade that holds the weight reuses it. ``character_to_csv``,
+``character_to_latex`` and ``character_to_text`` return a writer's output as
+a string, with no expansion.
+
 Gaussian binomials use the zero convention out of range: the polynomial is
 zero whenever the bottom index exceeds the top or the top is negative. Under
 that convention gap arrays that correspond to no pattern contribute nothing
@@ -181,21 +189,19 @@ def q_binomial(n: int, s: int) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def _box_coeffs(ell: int, ellp: int) -> tuple:
-    # Dense count of the partitions fitting the box (ell, ellp) by size. One
-    # whose smallest part is 0 drops it, otherwise every part loses 1, so
-    # P(a, b) = P(a - 1, b) + q^a P(a, b - 1), for a <= ell, one b at a time.
-    col = [[1]] * (ell + 1)  # b = 0: one empty partition per length
-    for b in range(1, ellp + 1):
-        prev, col = col, [[1]]
-        for a in range(1, ell + 1):
-            col.append([x + y for x, y in zip(col[-1] + [0] * b, [0] * a + prev[a])])
-    return tuple(col[-1])
+    # Dense count of the partitions fitting the box (ell, ellp) by size: the
+    # product over t <= min(ell, ellp) of (1 - q^(ell+ellp+1-t)) / (1 - q^t),
+    # one exact step per factor.
+    n, coeffs = ell + ellp, [1]
+    for t in range(1, min(ell, ellp) + 1):
+        _binomial_step(coeffs, n - t + 1, t, t * (n - t))
+    return tuple(coeffs)
 
 
 def box_generating_function(ell: int, ellp: int) -> QPolynomial:
     """Sum of q**|s| over the partitions fitting the box (ell, ellp), counted
-    by size with a recurrence and memoized per box; equals q_binomial(ell +
-    ellp, ell)."""
+    by size as a product of min(ell, ellp) exact quotients and memoized per
+    box; equals q_binomial(ell + ellp, ell)."""
     return QPolynomial(dict(enumerate(_box_coeffs(ell, ellp))))
 
 
@@ -522,13 +528,90 @@ def character_from_json(obj: dict) -> GradedCharacter:
     return ch
 
 
-def character_to_csv(ch: GradedCharacter) -> str:
-    """CSV with columns grade, a1..ar, mult, rows in canonical order."""
-    header = "grade," + ",".join(f"a{i}" for i in range(1, ch.rank + 1)) + ",mult"
-    lines = [header]
-    for (grade, weight), mult in ch.canonical_terms():
-        lines.append(f"{grade}," + ",".join(str(x) for x in weight) + f",{mult}")
-    return "\n".join(lines) + "\n"
+def _orbit_runs(ch: GradedCharacter, expand: bool, render) -> dict:
+    # Per distinct weight of ``ch``: the sort keys of its images in descending
+    # order (the signed orbit when expanding, else the weight alone) and each
+    # image rendered once. A key reads a weight as the digits, each of
+    # absolute value at most m, of a number in base 2m + 1, so keys order as
+    # their weights do lexicographically.
+    base = 2 * max((abs(x) for _, mu in ch.terms for x in mu), default=0) + 1
+    runs = {}
+    for _, mu in ch.terms:
+        if mu not in runs:
+            images = sorted(oracle.signed_orbit(mu), reverse=True) if expand else [mu]
+            keys = []
+            for w in images:
+                key = 0
+                for x in w:
+                    key = key * base + x
+                keys.append(key)
+            runs[mu] = keys, [render(w) for w in images]
+    return runs
+
+
+# Lines per write call: a grade's lines are rendered and written in slices of
+# this many, so no more than a slice of output is held at once.
+_WRITE_LINES = 1 << 14
+
+
+def _write_runs(write, ch: GradedCharacter, expand: bool, render, groups, sep: str,
+                empty: str) -> None:
+    # Each group lists (weight, pre, post) with distinct weights of ``ch``.
+    # Its lines, pre + rendered image + post over every image of its
+    # weights, go out in descending order of image, merged by one sort over
+    # the concatenated descending runs of keys. Groups are joined by ``sep``;
+    # when there is no line at all, ``empty`` is written instead.
+    runs = _orbit_runs(ch, expand, render)
+    written = False
+    for group in groups:
+        keys, texts, pres, posts = [], [], [], []
+        for mu, pre, post in group:
+            run, rendered = runs[mu]
+            keys += run
+            texts += rendered
+            pres += [pre] * len(run)
+            posts += [post] * len(run)
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        for start in range(0, len(order), _WRITE_LINES):
+            if written:
+                write(sep)
+            write(sep.join([pres[i] + texts[i] + posts[i]
+                            for i in order[start:start + _WRITE_LINES]]))
+            written = True
+    if not written:
+        write(empty)
+
+
+def _write_graded(write, ch: GradedCharacter, expand: bool, render, term, sep: str,
+                  empty: str = "") -> None:
+    # Canonical order: ascending grade, then descending weight. A grade's
+    # line for an image of mu is pre + render(image) + post, with
+    # (pre, post) = term(grade, mult).
+    by_grade = {}
+    for (grade, mu), mult in ch.terms.items():
+        by_grade.setdefault(grade, []).append((mu, *term(grade, mult)))
+    _write_runs(write, ch, expand, render, (by_grade[g] for g in sorted(by_grade)), sep,
+                empty)
+
+
+def write_json(write, ch: GradedCharacter, expand: bool = False) -> None:
+    """Write json.dumps(character_to_json(full), sort_keys=True) and a
+    newline through ``write``, where ``full`` is ``ch``, or with ``expand``
+    its orbit expansion, which is never built."""
+    write(f'{{"rank": {ch.rank}, "terms": [')
+    _write_graded(write, ch, expand, (", ".join(["%d"] * ch.rank) + "]}").__mod__,
+                  lambda grade, mult: (f'{{"grade": {grade}, "mult": {mult}, "weight": [', ""),
+                  ", ")
+    write("]}\n")
+
+
+def write_csv(write, ch: GradedCharacter, expand: bool = False) -> None:
+    """Write CSV with columns grade, a1..ar, mult, rows in canonical order,
+    of ``ch`` or, with ``expand``, of its orbit expansion."""
+    write("grade," + ",".join(f"a{i}" for i in range(1, ch.rank + 1)) + ",mult")
+    _write_graded(write, ch, expand, ",".join(["%d"] * ch.rank).__mod__,
+                  lambda grade, mult: (f"\n{grade},", f",{mult}"), "")
+    write("\n")
 
 
 def _weight_linear(weight: Sequence[int], symbol: str, sub: str) -> str:
@@ -536,28 +619,54 @@ def _weight_linear(weight: Sequence[int], symbol: str, sub: str) -> str:
                        for i, a in enumerate(weight, start=1) if a)
 
 
+def write_latex(write, ch: GradedCharacter, expand: bool = False) -> None:
+    """Write the terms "m q^{s} e^{...}" in canonical order, joined by " + ",
+    and a newline, of ``ch`` or, with ``expand``, of its orbit expansion."""
+    _write_graded(write, ch, expand,
+                  lambda w: _weight_linear(w, r"\varepsilon_", "{{{i}}}") + "}",
+                  lambda grade, mult: (f"{mult} q^{{{grade}}} e^{{", ""), " + ", "0")
+    write("\n")
+
+
+def _text_image(weight: Sequence[int]) -> str:
+    exp = _weight_linear(weight, "ε", "{i}")
+    return "1" if exp == "0" else f"e^{{{exp}}}"
+
+
+def write_text(write, ch: GradedCharacter, expand: bool = False) -> None:
+    """Write the display form and a newline: the terms grouped by weight,
+    descending lexicographically across all grades, each weight with its
+    q-polynomial of grade multiplicities; of ``ch`` or, with ``expand``, of
+    its orbit expansion, whose images share their dominant weight's
+    polynomial."""
+    by_weight = {}
+    for (grade, mu), mult in ch.terms.items():
+        by_weight.setdefault(mu, {})[grade] = mult
+    group = []
+    for mu, coeffs in by_weight.items():
+        poly = QPolynomial(coeffs)
+        group.append((mu, "" if poly == 1 else f"({poly})·", ""))
+    _write_runs(write, ch, expand, _text_image, [group], " + ", "0")
+    write("\n")
+
+
+def _rendered(writer, ch: GradedCharacter) -> str:
+    out = []
+    writer(out.append, ch)
+    return "".join(out)
+
+
+def character_to_csv(ch: GradedCharacter) -> str:
+    """CSV with columns grade, a1..ar, mult, rows in canonical order."""
+    return _rendered(write_csv, ch)
+
+
 def character_to_latex(ch: GradedCharacter) -> str:
     """Terms rendered as "m q^{s} e^{...}" joined by " + "."""
-    pieces = []
-    for (grade, weight), mult in ch.canonical_terms():
-        linear = _weight_linear(weight, r"\varepsilon_", "{{{i}}}")
-        pieces.append(f"{mult} q^{{{grade}}} e^{{{linear}}}")
-    return " + ".join(pieces) if pieces else "0"
+    return _rendered(write_latex, ch)[:-1]
 
 
 def character_to_text(ch: GradedCharacter) -> str:
     """Display form grouping terms by weight, descending lexicographically;
     each weight carries its q-polynomial of grade multiplicities."""
-    by_weight = {}
-    for (grade, weight), mult in ch.terms.items():
-        by_weight.setdefault(weight, {})[grade] = mult
-    pieces = []
-    for weight in sorted(by_weight, reverse=True):
-        poly = QPolynomial(by_weight[weight])
-        exp = _weight_linear(weight, "ε", "{i}")
-        body = "1" if exp == "0" else f"e^{{{exp}}}"
-        if poly == 1:
-            pieces.append(body)
-        else:
-            pieces.append(f"({poly})·{body}")
-    return " + ".join(pieces) if pieces else "0"
+    return _rendered(write_text, ch)[:-1]

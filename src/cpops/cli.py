@@ -6,7 +6,10 @@ fundamental-weight multiplicities or --lambdas with the weakly decreasing
 tuple; --rank is optional and must agree with the tuple length when present.
 
 Listings stream one JSON object per line (--format json) or one display line
-per item (--format text) and are deterministic across runs. Exit status is 0
+per item (--format text) and are deterministic across runs. `char` computes
+only the dominant part of the character and writes the output from it, grade
+by grade, in bulk writes, rendering each image of a dominant weight's signed
+orbit once; the full character is never built. Exit status is 0
 on success, 1 when a requested check fails, 2 on usage errors (a --max-total
 too large to sweep and a dimension too long to print among them), 3 on an
 internal error (one stderr line, no traceback), 141 when the reader closes
@@ -23,7 +26,10 @@ import os
 import sys
 
 from .branching import shtepin_branch_l, shtepin_branch_v, verify_identities, weyl_filtration
-from .characters import (
+# char writes from the dominant part and calls none of character_direct,
+# character_fermionic and character_to_*; perfbench/traced.py wraps these
+# names here.
+from .characters import (  # noqa: F401
     character_direct,
     character_fermionic,
     character_to_csv,
@@ -32,7 +38,10 @@ from .characters import (
     character_to_text,
     dominant_character_direct,
     dominant_character_fermionic,
-    expand_dominant,
+    write_csv,
+    write_json,
+    write_latex,
+    write_text,
 )
 from .oracle import weyl_dim
 from .patterns import (
@@ -61,8 +70,9 @@ from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 # for converting an int to a string.
 MAX_DIGITS = 4300
 
-# `verify --rank R --max-total T` refuses sweeps of more weights than this:
-# at about 6 ms per rank-3 weight, 10**6 of them take over an hour and a half.
+# `verify --rank R --max-total T` refuses sweeps of more weight coordinates
+# (rank times weights) than this: at about 6 ms per rank-3 weight, a third of
+# that many weights takes over half an hour.
 MAX_SWEEP = 10 ** 6
 
 MONOMIAL_GRAMMAR = (
@@ -271,33 +281,19 @@ def cmd_monomials(args, parser) -> int:
     return 0
 
 
-def _render_character(ch, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(character_to_json(ch), sort_keys=True)
-    if fmt == "csv":
-        return character_to_csv(ch).rstrip("\n")
-    if fmt == "latex":
-        return character_to_latex(ch)
-    return character_to_text(ch)
+CHARACTER_WRITERS = {"json": write_json, "csv": write_csv, "latex": write_latex,
+                     "text": write_text}
 
 
 def cmd_char(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    if args.method == "both":
-        ch = dominant_character_direct(weight)
-        if ch != dominant_character_fermionic(weight):
-            print("character mismatch between direct and fermionic methods",
-                  file=sys.stderr)
-            return 1
-        if not args.dominant:
-            ch = expand_dominant(ch)
-    elif args.dominant:
-        ch = (dominant_character_direct if args.method == "direct"
-              else dominant_character_fermionic)(weight)
-    else:
-        ch = (character_direct if args.method == "direct"
-              else character_fermionic)(weight)
-    print(_render_character(ch, args.format))
+    ch = (dominant_character_fermionic if args.method == "fermionic"
+          else dominant_character_direct)(weight)
+    if args.method == "both" and ch != dominant_character_fermionic(weight):
+        print("character mismatch between direct and fermionic methods",
+              file=sys.stderr)
+        return 1
+    CHARACTER_WRITERS[args.format](sys.stdout.write, ch, expand=not args.dominant)
     return 0
 
 
@@ -327,15 +323,19 @@ def cmd_verify(args, parser) -> int:
     elif args.max_total < 0:
         parser.error(f"--max-total must be non-negative, got {args.max_total}")
     else:
-        # The sweep has comb(rank + max_total, rank) weights; the product
-        # runs over the smaller side and stops once it passes the bound.
+        # The sweep has comb(rank + max_total, rank) weights of rank
+        # coordinates each. The product runs over the smaller side of the
+        # binomial, starting from the rank, and stops once it passes the bound.
         a, b = sorted((args.rank, args.max_total))
-        size = 1
+        size = args.rank
         for i in range(1, a + 1):
-            size = size * (b + i) // i
             if size > MAX_SWEEP:
-                parser.error(f"sweep too large: --rank {args.rank} --max-total "
-                             f"{args.max_total} has more than {MAX_SWEEP} weights")
+                break
+            size = size * (b + i) // i
+        if size > MAX_SWEEP:
+            parser.error(f"sweep too large: --rank {args.rank} --max-total "
+                         f"{args.max_total} has more than {MAX_SWEEP} weight "
+                         "coordinates (rank times weights)")
         weights = list(sweep_dominant_weights(args.rank, args.max_total))
     reports = [verify_identities(w) for w in weights]
     if args.format == "json":

@@ -8,6 +8,7 @@ import pytest
 from cpops.characters import (
     GradedCharacter,
     QPolynomial,
+    _weight_linear,
     box_generating_function,
     character_direct,
     character_fermionic,
@@ -18,10 +19,15 @@ from cpops.characters import (
     character_to_text,
     dominant_character_direct,
     dominant_character_fermionic,
+    expand_dominant,
     q_binomial,
     restrict_drop_last,
     specialize_q1,
     total_dim,
+    write_csv,
+    write_json,
+    write_latex,
+    write_text,
 )
 from cpops.oracle import signed_orbit
 from cpops.pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
@@ -73,23 +79,46 @@ def test_q_binomial_deep_tops():
         assert poly.degree() == 2 * 1198
 
 
+def _box_recurrence(ell, ellp):
+    # Partitions fitting the box (ell, ellp) counted by size through their
+    # smallest part: one whose smallest part is 0 drops it, otherwise every
+    # part loses 1, so P(a, b) = P(a - 1, b) + q^a P(a, b - 1).
+    col = [[1]] * (ell + 1)  # b = 0: one empty partition per length
+    for b in range(1, ellp + 1):
+        prev, col = col, [[1]]
+        for a in range(1, ell + 1):
+            col.append([x + y for x, y in zip(col[-1] + [0] * b, [0] * a + prev[a])])
+    return tuple(col[-1])
+
+
 def test_binomial_rows_equal_q_binomial():
     # The fermionic walk reads rows grown from [n, s - 1] to [n, s], and
-    # q_binomial reads the same rows; the box recurrence, which counts the
-    # partitions of the box (s, n - s) by size, is the reference for both.
+    # q_binomial reads the same rows; the direct walk reads the box products.
+    # The box recurrence, which counts the partitions of the box (s, n - s)
+    # by size, is the reference for all three.
     from cpops.characters import _binomial_coeffs, _box_coeffs
 
     for n in range(25):
         for s in range(n + 1):
             poly = q_binomial(n, s)
             dense = tuple(poly.coeffs().get(e, 0) for e in range(poly.degree() + 1))
-            assert _binomial_coeffs(n, s) == dense == _box_coeffs(s, n - s), (n, s)
+            assert (_binomial_coeffs(n, s) == dense == _box_recurrence(s, n - s)
+                    == _box_coeffs(s, n - s)), (n, s)
+
+
+def test_box_coeffs_equal_recurrence():
+    # The direct walk's box product against the recurrence by smallest part.
+    from cpops.characters import _box_coeffs
+
+    for ell in range(13):
+        for ellp in range(13):
+            assert _box_coeffs(ell, ellp) == _box_recurrence(ell, ellp), (ell, ellp)
 
 
 def test_q_binomial_equals_box_generating_function():
-    # Two independent recurrences: Gaussian-binomial rows grown by
-    # multiplying and dividing by 1 - q^a, and partitions in a box counted
-    # by their smallest part.
+    # Gaussian-binomial rows grown one bottom index at a time, for the
+    # fermionic walk, against each box's product of quotients, built afresh
+    # per box for the direct walk.
     for n in range(13):
         for s in range(n + 1):
             assert q_binomial(n, s) == box_generating_function(s, n - s), (n, s)
@@ -102,8 +131,8 @@ def test_box_generating_function_examples():
 
 
 def test_box_coeffs_equal_enumeration():
-    # The direct walk counts box partitions by size with a recurrence;
-    # listing them is the reference.
+    # The direct walk counts box partitions by size as a product; listing
+    # them is the reference.
     from cpops.characters import _box_coeffs
 
     for ell in range(9):
@@ -176,9 +205,11 @@ def test_characters_equal_per_pop_accumulation():
 
 
 def test_methods_share_no_enumeration(monkeypatch):
-    # The direct method uses no Gaussian binomial and none of the fermionic
-    # walk's helpers, the fermionic one no pattern code and none of the
-    # direct walk's helpers; each still runs with the other's tools broken.
+    # The direct method uses none of the fermionic walk's helpers, the
+    # fermionic one no pattern code and none of the direct walk's helpers;
+    # each still runs with the other's tools broken. Both walks share the
+    # exact-division kernel _binomial_step, which this test cannot catch;
+    # _box_recurrence and the partitions_in_box enumeration check it.
     from cpops import characters
 
     def broken(*args):
@@ -354,13 +385,91 @@ def test_render_formats_smoke():
     assert "1,0,1" in csv.splitlines()
     latex = character_to_latex(ch)
     assert "q^{1}" in latex and "\\varepsilon_{1}" in latex
+    # A character that is not invariant under signed permutations: the
+    # renderings write its terms as they are, with no orbit expansion.
     signed = GradedCharacter(3, {(0, (0, -2, 1)): 1, (2, (0, 0, 0)): -3,
-                                 (1, (1, -1, 0)): 2})
+                                 (1, (1, -1, 0)): 2, (1, (-1, 0, 0)): 5})
     assert character_to_text(signed) == \
-        "(2q)·e^{ε1-ε2} + (-3q^2)·1 + e^{-2ε2+ε3}"
+        "(2q)·e^{ε1-ε2} + (-3q^2)·1 + e^{-2ε2+ε3} + (5q)·e^{-ε1}"
     assert character_to_latex(signed) == (
         r"1 q^{0} e^{-2\varepsilon_{2}+\varepsilon_{3}} + "
-        r"2 q^{1} e^{\varepsilon_{1}-\varepsilon_{2}} + -3 q^{2} e^{0}")
+        r"2 q^{1} e^{\varepsilon_{1}-\varepsilon_{2}} + "
+        r"5 q^{1} e^{-\varepsilon_{1}} + -3 q^{2} e^{0}")
+    assert character_to_csv(signed) == (
+        "grade,a1,a2,a3,mult\n0,0,-2,1,1\n1,1,-1,0,2\n1,-1,0,0,5\n2,0,0,0,-3\n")
+    empty = GradedCharacter(2)
+    assert (character_to_text(empty), character_to_latex(empty),
+            character_to_csv(empty)) == ("0", "0", "grade,a1,a2,mult\n")
+
+
+# The renderings of a character as the writers had them before they wrote
+# from the dominant part, term by term over the canonical order.
+def _reference_csv(ch):
+    lines = ["grade," + ",".join(f"a{i}" for i in range(1, ch.rank + 1)) + ",mult"]
+    for (grade, weight), mult in ch.canonical_terms():
+        lines.append(f"{grade}," + ",".join(str(x) for x in weight) + f",{mult}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_latex(ch):
+    pieces = []
+    for (grade, weight), mult in ch.canonical_terms():
+        linear = _weight_linear(weight, r"\varepsilon_", "{{{i}}}")
+        pieces.append(f"{mult} q^{{{grade}}} e^{{{linear}}}")
+    return " + ".join(pieces) if pieces else "0"
+
+
+def _reference_text(ch):
+    by_weight = {}
+    for (grade, weight), mult in ch.terms.items():
+        by_weight.setdefault(weight, {})[grade] = mult
+    pieces = []
+    for weight in sorted(by_weight, reverse=True):
+        poly = QPolynomial(by_weight[weight])
+        exp = _weight_linear(weight, "ε", "{i}")
+        body = "1" if exp == "0" else f"e^{{{exp}}}"
+        pieces.append(body if poly == 1 else f"({poly})·{body}")
+    return " + ".join(pieces) if pieces else "0"
+
+
+REFERENCES = [
+    (write_json, lambda ch: json.dumps(character_to_json(ch), sort_keys=True) + "\n"),
+    (write_csv, _reference_csv),
+    (write_latex, lambda ch: _reference_latex(ch) + "\n"),
+    (write_text, lambda ch: _reference_text(ch) + "\n"),
+]
+
+WRITER_WEIGHTS = [w.omegas for rank in (1, 2, 3) for w in sweep_dominant_weights(rank, 2)] + [
+    (2, 1, 1, 0), (1, 1, 0, 0, 1), (0, 0, 0), (7,)]
+
+
+@pytest.mark.parametrize("omegas", WRITER_WEIGHTS)
+def test_writers_equal_reference_renderings(omegas):
+    # Every writer, on either method's dominant part, with and without the
+    # orbit expansion, against the reference rendering of the character it
+    # stands for; the thin wrappers render without expansion.
+    w = DominantWeight.from_omegas(omegas)
+    for dominant in (dominant_character_direct(w), dominant_character_fermionic(w)):
+        full = expand_dominant(dominant)
+        for writer, reference in REFERENCES:
+            for expand, ch in ((False, dominant), (True, full)):
+                out = []
+                writer(out.append, dominant, expand=expand)
+                assert "".join(out) == reference(ch), (writer.__name__, expand)
+    for wrapper, reference in ((character_to_csv, _reference_csv),
+                               (character_to_latex, _reference_latex),
+                               (character_to_text, _reference_text)):
+        assert wrapper(full) == reference(full), wrapper.__name__
+
+
+def test_writers_render_signed_character_as_reference():
+    signed = GradedCharacter(3, {(0, (0, -2, 1)): 1, (2, (0, 0, 0)): -3,
+                                 (1, (1, -1, 0)): 2, (1, (-1, 0, 0)): 5,
+                                 (0, (-1, 0, 0)): 1})
+    for writer, reference in REFERENCES:
+        out = []
+        writer(out.append, signed)
+        assert "".join(out) == reference(signed), writer.__name__
 
 
 def test_signed_permutation_invariance_of_slices():

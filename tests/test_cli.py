@@ -11,7 +11,16 @@ import pytest
 
 from cpops import branching, cli
 from cpops.cache import cache_lookup, cache_store
-from cpops.characters import character_direct, character_from_json
+from cpops.characters import (
+    character_direct,
+    character_from_json,
+    character_to_csv,
+    character_to_json,
+    character_to_latex,
+    character_to_text,
+    dominant_character_direct,
+    expand_dominant,
+)
 from cpops.patterns import enumerate_patterns, pattern_from_json
 from cpops.pops import (
     enumerate_pops,
@@ -118,6 +127,25 @@ def test_char_dominant_prints_the_dominant_terms(capsys):
     assert out == "e^{2ε1+ε2} + (2+q)·e^{ε1}\n"
 
 
+@pytest.mark.parametrize("omegas", ["2", "1,1", "0,1,1", "2,1,1,0"])
+def test_char_output_equals_renderings(capsys, omegas):
+    # Every method, format and --dominant choice against the library's
+    # renderings of the dominant part and of its orbit expansion, which
+    # test_characters ties to the term-by-term reference.
+    w = DominantWeight.from_omegas(tuple(map(int, omegas.split(","))))
+    dominant = dominant_character_direct(w)
+    for dominant_only in (False, True):
+        ch = dominant if dominant_only else expand_dominant(dominant)
+        expected = {"json": json.dumps(character_to_json(ch), sort_keys=True) + "\n",
+                    "csv": character_to_csv(ch), "latex": character_to_latex(ch) + "\n",
+                    "text": character_to_text(ch) + "\n"}
+        for fmt, text in expected.items():
+            for method in ("direct", "fermionic", "both"):
+                code, out, err = run_cli(capsys, "char", "--omegas", omegas, "--format", fmt,
+                                         "--method", method, *(("--dominant",) * dominant_only))
+                assert (code, out, err) == (0, text, ""), (fmt, method, dominant_only)
+
+
 def test_char_has_no_cache(tmp_path, capsys, monkeypatch):
     # char always computes: --cache-dir is an unknown flag and the
     # CPOPS_CACHE_DIR variable, which once named a cache directory, is ignored.
@@ -158,18 +186,31 @@ def test_dim_prints_4300_digits(capsys):
     assert len(out) == 4301
 
 
-def test_closed_stdout_exits_141_quietly():
+def _close_stdout_early(argv, read) -> tuple:
+    # Start the CLI, read from its stdout with ``read``, close the pipe and
+    # return the exit status and stderr.
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cpops.cli", "pops", "--omegas", "2,2,1"],
+        [sys.executable, "-m", "cpops.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout.readline()
+    assert read(proc.stdout)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 141
-    assert err == b""
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_141_quietly():
+    argv = ["pops", "--omegas", "2,2,1"]
+    assert _close_stdout_early(argv, lambda out: out.readline()) == (141, b"")
+
+
+def test_char_closed_stdout_exits_141_quietly():
+    # char writes its 121 KB of JSON in bulk, more than a pipe holds, so the
+    # reader's early close always reaches a write.
+    argv = ["char", "--format", "json", "--omegas", "2,2,1"]
+    assert _close_stdout_early(argv, lambda out: out.read(1) == b"{") == (141, b"")
 
 
 def test_count_matches_enumeration(capsys):
@@ -343,6 +384,7 @@ BAD_INPUT_MESSAGES = {
     ("verify", "--rank", "2", "--max-total", "100000000000000000000"):
         "sweep too large",
     ("verify", "--rank", "2", "--max-total", "3000000000"): "sweep too large",
+    ("verify", "--rank", "1000000000000", "--max-total", "0"): "sweep too large",
 }
 
 
@@ -353,6 +395,9 @@ BAD_INPUT_MESSAGES = {
     ["verify", "--rank", "2", "--max-total", "100000000000000000000"],
     # comb(3e9 + 2, 2) weights; once a MemoryError (exit 3) building the list.
     ["verify", "--rank", "2", "--max-total", "3000000000"],
+    # One weight of 10**12 coordinates; once a MemoryError (exit 3) building
+    # its coordinate list.
+    ["verify", "--rank", "1000000000000", "--max-total", "0"],
     ["dim", "--omegas", "-1"],
     ["char", "--lambdas", "1,2"],
     ["pops", "--lambdas", "-1"],
@@ -433,6 +478,16 @@ def test_large_boxes_are_not_memoized():
     # Memoizing every box grew the peak by about 30 MB over 12 omega_1.
     grown = _peak_rss_kb("count", "--omegas", "18") - _peak_rss_kb("count", "--omegas", "12")
     assert grown < 15 * 1024
+
+
+def test_char_peak_does_not_grow_with_output():
+    # Rank 5, omegas all 1: 326,054 terms (18 MB of JSON) from 673 dominant
+    # ones. Building the full character and its JSON grew the peak by about
+    # 170 MB over --dominant; writing from the dominant part grows it by the
+    # 50,574 rendered orbit images and one grade's lines.
+    args = ("char", "--format", "json", "--omegas", "1,1,1,1,1")
+    grown = _peak_rss_kb(*args) - _peak_rss_kb(*args, "--dominant")
+    assert grown < 30 * 1024
 
 
 def test_rendered_partitions_keep_only_small_boxes(capsys):
