@@ -145,20 +145,9 @@ class QPolynomial:
         return f"QPolynomial({self._coeffs!r})"
 
 
-def _binomial_step(coeffs: list, a: int, t: int, degree: int) -> list:
-    # coeffs times 1 - q^a, divided exactly by 1 - q^t, in place, as
-    # ``degree + 1`` coefficients: one step from a Gaussian binomial to the next.
-    coeffs.extend([0] * (degree + 1 - len(coeffs)))
-    for e in range(degree, a - 1, -1):
-        coeffs[e] -= coeffs[e - a]
-    for e in range(t, degree + 1):
-        coeffs[e] += coeffs[e - t]
-    return coeffs
-
-
-# Row n of Gaussian binomials for the fermionic walk, which asks for [n, 0],
-# [n, 1], ... in turn: the coefficient tuples up to the largest bottom asked
-# for so far, at most n // 2 (the rest mirror).
+# Row n of Gaussian binomials, which both walks and q_binomial read: the
+# coefficient tuples up to the largest bottom asked for so far, at most
+# n // 2 (the rest mirror).
 _BINOMIAL_ROWS = {}
 
 
@@ -170,7 +159,13 @@ def _binomial_coeffs(n: int, s: int) -> tuple:
     row = _BINOMIAL_ROWS.setdefault(n, [(1,)])
     while len(row) <= s:
         t = len(row)
-        row.append(tuple(_binomial_step(list(row[-1]), n - t + 1, t, t * (n - t))))
+        a, degree = n - t + 1, t * (n - t)
+        coeffs = list(row[-1]) + [0] * (degree + 1 - len(row[-1]))
+        for e in range(degree, a - 1, -1):
+            coeffs[e] -= coeffs[e - a]
+        for e in range(t, degree + 1):
+            coeffs[e] += coeffs[e - t]
+        row.append(tuple(coeffs))
     return row[s]
 
 
@@ -180,29 +175,19 @@ def q_binomial(n: int, s: int) -> QPolynomial:
 
     Zero polynomial when s < 0, n < 0, or s > n; otherwise a polynomial with
     non-negative coefficients, degree s*(n-s), and value comb(n, s) at q = 1,
-    read from the row n that the fermionic walk grows.
+    read from the shared row n.
     """
     if s < 0 or n < 0 or s > n:
         return QPolynomial.zero()
     return QPolynomial(dict(enumerate(_binomial_coeffs(n, s))))
 
 
-@lru_cache(maxsize=None)
-def _box_coeffs(ell: int, ellp: int) -> tuple:
-    # Dense count of the partitions fitting the box (ell, ellp) by size: the
-    # product over t <= min(ell, ellp) of (1 - q^(ell+ellp+1-t)) / (1 - q^t),
-    # one exact step per factor.
-    n, coeffs = ell + ellp, [1]
-    for t in range(1, min(ell, ellp) + 1):
-        _binomial_step(coeffs, n - t + 1, t, t * (n - t))
-    return tuple(coeffs)
-
-
 def box_generating_function(ell: int, ellp: int) -> QPolynomial:
     """Sum of q**|s| over the partitions fitting the box (ell, ellp), counted
-    by size as a product of min(ell, ellp) exact quotients and memoized per
-    box; equals q_binomial(ell + ellp, ell)."""
-    return QPolynomial(dict(enumerate(_box_coeffs(ell, ellp))))
+    by size: the Gaussian binomial q_binomial(ell + ellp, ell)."""
+    if ell < 0 or ellp < 0:
+        raise ValueError("box sides must be non-negative")
+    return q_binomial(ell + ellp, ell)
 
 
 class GradedCharacter:
@@ -327,14 +312,15 @@ def _dense_character(rank: int, sums: dict) -> "GradedCharacter":
 
 
 def _gap_boxes(upper: tuple, lower: tuple) -> Sequence[int]:
-    # Product of the box generating functions over the gaps between a row and
-    # the row under it: box i is (upper_i - lower_i, lower_i - upper_{i+1}).
+    # Product of the box generating functions, the Gaussian binomials
+    # [ell + ellp, ell], over the gaps between a row and the row under it:
+    # box i is (ell, ellp) = (upper_i - lower_i, lower_i - upper_{i+1}).
     # An eta row's upper row carries the trailing 0 of its lambda row.
     poly = (1,)
     for i, x in enumerate(lower):
         ell, ellp = upper[i] - x, x - upper[i + 1]
         if ell and ellp:  # a box with one side 0 holds one empty partition
-            poly = _dense_mul(poly, _box_coeffs(ell, ellp))
+            poly = _dense_mul(poly, _binomial_coeffs(ell + ellp, ell))
     return poly
 
 
@@ -354,7 +340,8 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     of the current row, dense polynomials keyed by the coordinates a_{j+1}..
     a_r fixed above it, and pushes each, times the product of box generating
     functions of the row pair (memoized per pair), to every child key; paths
-    that reach the same key merge there. No Gaussian binomial is used.
+    that reach the same key merge there. Each box generating function is a
+    Gaussian binomial, read from the rows that the fermionic walk also reads.
     """
     pairs = {}
 

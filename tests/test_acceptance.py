@@ -14,6 +14,7 @@ from math import comb
 from cpops.branching import shtepin_branch_l, shtepin_branch_v, weyl_filtration
 from cpops.characters import (
     GradedCharacter,
+    QPolynomial,
     box_generating_function,
     character_direct,
     character_fermionic,
@@ -37,6 +38,7 @@ from cpops.pops import (
     enumerate_f,
     enumerate_pops,
     enumerate_restricted_pops,
+    partitions_in_box,
     pop_boxes,
     pop_count_formula,
     pop_from_json,
@@ -227,12 +229,14 @@ def test_c7_branching():
 
 
 def test_c8_q_series():
+    # Both against the box's partitions, listed and counted by size.
     for ell in range(7):
         for ellp in range(7):
-            assert box_generating_function(ell, ellp) == \
-                q_binomial(ell + ellp, ell), (ell, ellp)
-    print("\n[PASS] criterion 8: box generating functions equal Gaussian "
-          "binomials (sides <= 6)")
+            by_size = QPolynomial(Counter(map(sum, partitions_in_box(ell, ellp))))
+            assert box_generating_function(ell, ellp) == by_size, (ell, ellp)
+            assert q_binomial(ell + ellp, ell) == by_size, (ell, ellp)
+    print("\n[PASS] criterion 8: box generating functions and Gaussian "
+          "binomials count box partitions by size (sides <= 6)")
 
 
 def test_c9_property_suites():

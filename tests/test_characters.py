@@ -92,36 +92,26 @@ def _box_recurrence(ell, ellp):
 
 
 def test_binomial_rows_equal_q_binomial():
-    # The fermionic walk reads rows grown from [n, s - 1] to [n, s], and
-    # q_binomial reads the same rows; the direct walk reads the box products.
+    # Both walks and q_binomial read rows grown from [n, s - 1] to [n, s].
     # The box recurrence, which counts the partitions of the box (s, n - s)
-    # by size, is the reference for all three.
-    from cpops.characters import _binomial_coeffs, _box_coeffs
+    # by size, is the reference.
+    from cpops.characters import _binomial_coeffs
 
     for n in range(25):
         for s in range(n + 1):
             poly = q_binomial(n, s)
             dense = tuple(poly.coeffs().get(e, 0) for e in range(poly.degree() + 1))
-            assert (_binomial_coeffs(n, s) == dense == _box_recurrence(s, n - s)
-                    == _box_coeffs(s, n - s)), (n, s)
+            assert _binomial_coeffs(n, s) == dense == _box_recurrence(s, n - s), (n, s)
 
 
 def test_box_coeffs_equal_recurrence():
-    # The direct walk's box product against the recurrence by smallest part.
-    from cpops.characters import _box_coeffs
+    # The direct walk's box factor [ell + ellp, ell] against the recurrence
+    # by smallest part.
+    from cpops.characters import _binomial_coeffs
 
     for ell in range(13):
         for ellp in range(13):
-            assert _box_coeffs(ell, ellp) == _box_recurrence(ell, ellp), (ell, ellp)
-
-
-def test_q_binomial_equals_box_generating_function():
-    # Gaussian-binomial rows grown one bottom index at a time, for the
-    # fermionic walk, against each box's product of quotients, built afresh
-    # per box for the direct walk.
-    for n in range(13):
-        for s in range(n + 1):
-            assert q_binomial(n, s) == box_generating_function(s, n - s), (n, s)
+            assert _binomial_coeffs(ell + ellp, ell) == _box_recurrence(ell, ellp), (ell, ellp)
 
 
 def test_box_generating_function_examples():
@@ -130,23 +120,26 @@ def test_box_generating_function_examples():
     assert box_generating_function(2, 2) == QPolynomial({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
 
+def test_box_generating_function_rejects_negative_sides():
+    # As partitions_in_box does; the Gaussian binomial would read 0 or 1.
+    for ell, ellp in ((-1, 3), (3, -1), (-1, -1), (-2, 2)):
+        with pytest.raises(ValueError, match="box sides must be non-negative"):
+            box_generating_function(ell, ellp)
+        with pytest.raises(ValueError, match="box sides must be non-negative"):
+            partitions_in_box(ell, ellp)
+
+
 def test_box_coeffs_equal_enumeration():
-    # The direct walk counts box partitions by size as a product; listing
-    # them is the reference.
-    from cpops.characters import _box_coeffs
+    # The direct walk's box factor [ell + ellp, ell] counts the box's
+    # partitions by size; listing them is the reference.
+    from cpops.characters import _binomial_coeffs
 
     for ell in range(9):
         for ellp in range(9):
             counts = [0] * (ell * ellp + 1)
             for parts in partitions_in_box(ell, ellp):
                 counts[sum(parts)] += 1
-            assert _box_coeffs(ell, ellp) == tuple(counts), (ell, ellp)
-
-
-def test_box_generating_function_equals_q_binomial():
-    for ell in range(7):
-        for ellp in range(7):
-            assert box_generating_function(ell, ellp) == q_binomial(ell + ellp, ell)
+            assert _binomial_coeffs(ell + ellp, ell) == tuple(counts), (ell, ellp)
 
 
 def test_character_direct_zero_weight():
@@ -208,8 +201,8 @@ def test_methods_share_no_enumeration(monkeypatch):
     # The direct method uses none of the fermionic walk's helpers, the
     # fermionic one no pattern code and none of the direct walk's helpers;
     # each still runs with the other's tools broken. Both walks share the
-    # exact-division kernel _binomial_step, which this test cannot catch;
-    # _box_recurrence and the partitions_in_box enumeration check it.
+    # Gaussian-binomial kernel _binomial_coeffs, which this test cannot
+    # break; _box_recurrence and the partitions_in_box enumeration check it.
     from cpops import characters
 
     def broken(*args):
@@ -218,12 +211,10 @@ def test_methods_share_no_enumeration(monkeypatch):
     w = DominantWeight.from_omegas((1, 0, 1))
     expected = character_direct(w)
     with monkeypatch.context() as m:
-        for name in ("q_binomial", "_binomial_coeffs", "_binomial_products",
-                     "_fermionic_level"):
+        for name in ("q_binomial", "_binomial_products", "_fermionic_level"):
             m.setattr(characters, name, broken)
         assert character_direct(w) == expected
-    for name in ("interlacing_rows", "box_generating_function", "_box_coeffs",
-                 "_gap_boxes"):
+    for name in ("interlacing_rows", "box_generating_function", "_gap_boxes"):
         monkeypatch.setattr(characters, name, broken)
     assert character_fermionic(w) == expected
 
@@ -252,10 +243,12 @@ def test_dominant_parts_match_recorded_digests(method, omegas):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-def test_dominant_parts_agree_on_large_boxes():
+@pytest.mark.parametrize("omegas", [(40,), (100,)])
+def test_dominant_parts_agree_on_large_boxes(omegas):
     # Rank 1 at 40 has gap boxes up to (20, 20), of comb(40, 20) partitions
-    # each, which the direct walk counts without listing.
-    w = DominantWeight.from_omegas((40,))
+    # each, which the direct walk counts without listing; at 100, up to
+    # (50, 50).
+    w = DominantWeight.from_omegas(omegas)
     assert dominant_character_direct(w) == dominant_character_fermionic(w)
 
 
