@@ -47,11 +47,11 @@ def _signed_sum(terms) -> str:
     # Non-zero (coefficient, symbol) pairs as one signed sum: the first term
     # keeps its own sign, later ones are joined by +/-, a coefficient of +-1
     # on a non-empty symbol prints without the 1, and no terms print 0.
-    out = ""
+    out = []
     for c, symbol in terms:
         mag = "" if abs(c) == 1 and symbol else str(abs(c))
-        out += f"{'-' if c < 0 else '+' if out else ''}{mag}{symbol}"
-    return out or "0"
+        out.append(f"{'-' if c < 0 else '+' if out else ''}{mag}{symbol}")
+    return "".join(out) or "0"
 
 
 class QPolynomial:

@@ -6,7 +6,10 @@ fundamental-weight multiplicities or --lambdas with the weakly decreasing
 tuple; --rank is optional and must agree with the tuple length when present.
 
 Listings stream one JSON object per line (--format json) or one display line
-per item (--format text) and are deterministic across runs. `char` computes
+per item (--format text) and are deterministic across runs. The patterns,
+pops and monomials listings render each chain row, each gap block (the gap
+positions between two adjacent rows) and each position's slots once, and
+write their lines in batches of at most BATCH_LINES. `char` computes
 only the dominant part of the character and writes the output from it, grade
 by grade, in bulk writes, rendering each image of a dominant weight's signed
 orbit once; the full character is never built. Exit status is 0
@@ -44,15 +47,10 @@ from .characters import (  # noqa: F401
     write_text,
 )
 from .oracle import weyl_dim
-from .patterns import (
-    differences,
-    enumerate_patterns,
-    enumerate_restricted_patterns,
-    pattern_to_json,
-)
-# The pops and monomials listings render per pattern and call none of
-# pop_to_json, pop_monomial and monomial_to_json, which stay the reference
-# for their lines; perfbench/traced.py wraps these names here.
+from .patterns import enumerate_patterns, enumerate_restricted_patterns, overlay_positions
+# The pops and monomials listings render from memos of rows and gap blocks
+# and call none of pop_to_json, pop_monomial and monomial_to_json, which stay
+# the reference for their lines; perfbench/traced.py wraps these names here.
 from .pops import (
     _BOXES,
     enumerate_pops,
@@ -167,19 +165,53 @@ def _print_stream(items, to_json, to_text, fmt: str) -> None:
             print(to_text(item))
 
 
-def _rows_json(rows) -> str:
-    return json.dumps([list(r) for r in rows])
+class _Rows(dict):
+    # Each chain row rendered once as the JSON array "[a, b, ...]", keyed by
+    # the row tuple; a row set renders as "[" + ", ".join(rows) + "]".
+    def __missing__(self, row):
+        self[row] = rendered = "[" + ", ".join(map(str, row)) + "]"
+        return rendered
+
+
+_ROWS = _Rows()
+
+
+def _row_set(rows) -> str:
+    return "[" + ", ".join(map(_ROWS.__getitem__, rows)) + "]"
 
 
 def _pattern_text(p) -> str:
-    return f"eta={_rows_json(p.eta_rows)} lambda={_rows_json(p.lambda_rows)}"
+    return f"eta={_row_set(p.eta_rows)} lambda={_row_set(p.lambda_rows)}"
+
+
+def _pattern_json(p) -> str:
+    # json.dumps(pattern_to_json(p), sort_keys=True)
+    return (f'{{"eta": {_row_set(p.eta_rows)}, "lambda": {_row_set(p.lambda_rows)}, '
+            f'"rank": {p.rank}}}')
+
+
+# Lines go out in one write per batch of at most this many, so a pattern
+# with a huge overlay product is never held whole.
+BATCH_LINES = 1024
+
+
+def _write_lines(write, head: str, lines, tail: str) -> None:
+    # Each line framed by head and tail, in one write per batch.
+    glue = tail + head
+    while True:
+        batch = list(itertools.islice(lines, BATCH_LINES))
+        if batch:
+            write(head + glue.join(batch) + tail)
+        if len(batch) < BATCH_LINES:
+            return
 
 
 def cmd_patterns(args, parser) -> int:
     weight = _resolve_weight(args, parser)
     items = (enumerate_restricted_patterns(weight.lam) if args.restricted
              else enumerate_patterns(weight))
-    _print_stream(items, pattern_to_json, _pattern_text, args.format)
+    line = _pattern_json if args.format == "json" else _pattern_text
+    _write_lines(sys.stdout.write, "", map(line, items), "\n")
     return 0
 
 
@@ -204,80 +236,140 @@ def _position_json(pos) -> str:
     return f'"barred": {"true" if barred else "false"}, "i": {i}, "j": {j}'
 
 
-def _write_lines(write, head: str, combos, tail: str, sep: str = ", ") -> None:
-    # One line per combination of slot strings: head, the joined slots, tail.
-    for combo in combos:
-        write(head)
-        write(sep.join(combo))
-        write(tail)
+# A slot is the text of one gap position under one partition of its box; a
+# listing line joins one slot per position. Each format renders a position's
+# slots, one per partition in _BOXES order, from (position, box).
+
+def _pops_json_slots(pos, box) -> list:
+    prefix = f'{{{_position_json(pos)}, "parts": '
+    return [f"{prefix}{parts}}}" for parts in _PARTS_JSON[box]]
 
 
-def _pop_json_lines(pattern) -> tuple:
-    # The lines json.dumps(pop_to_json(p), sort_keys=True) gives for the
-    # pattern's overlaid patterns, as (head, combinations of slots, tail).
-    slots = []
-    for pos, box in differences(pattern).items():
-        prefix = f'{{{_position_json(pos)}, "parts": '
-        slots.append([f"{prefix}{parts}}}" for parts in _PARTS_JSON[box]])
-    head = (f'{{"eta": {_rows_json(pattern.eta_rows)}, '
-            f'"lambda": {_rows_json(pattern.lambda_rows)}, "overlays": [')
-    return head, itertools.product(*slots), f'], "rank": {pattern.rank}}}\n'
+def _pops_text_slots(pos, box) -> list:
+    # The overlays as one JSON object keyed by label: each slot starts with
+    # its quoted label.
+    key = f'"{label_text(pos)}": '
+    return [key + parts for parts in _PARTS_JSON[box]]
 
 
-def _pop_text_lines(pattern) -> tuple:
-    # The pattern text, then the overlays as one JSON object keyed by label
-    # with its keys sorted. Each slot starts with its quoted label, and no
-    # label is a prefix of another, so the positions sort by label when they
-    # sort by their first slots.
-    slots = []
-    for pos, box in differences(pattern).items():
-        key = f'"{label_text(pos)}": '
-        slots.append([key + parts for parts in _PARTS_JSON[box]])
-    combos = itertools.product(*slots)
-    if len(slots) > 1:  # one or no slot is already in order
-        firsts = [s[0] for s in slots]
-        order = sorted(range(len(slots)), key=firsts.__getitem__)
-        combos = map(operator.itemgetter(*order), combos)
-    return f"{_pattern_text(pattern)} overlays={{", combos, "}\n"
+def _word_slots(by_t: list, box, sep: str) -> list:
+    # A partition's factors, one per part t, joined.
+    return [sep.join(map(by_t.__getitem__, parts)) for parts in _BOXES[box]]
+
+
+def _words_text_slots(pos, box) -> list:
+    return _word_slots([f"x-{label_text(pos)}@t^{t}" for t in range(box[1] + 1)],
+                       box, " ")
+
+
+def _words_json_slots(pos, box) -> list:
+    prefix = f'{{{_position_json(pos)}, "t": '
+    return _word_slots([f"{prefix}{t}}}" for t in range(box[1] + 1)], box, ", ")
+
+
+def _words_degrees(pos, box) -> list:
+    # The t-degree of each partition, in the same order as the word slots.
+    return list(map(sum, _BOXES[box]))
+
+
+class _Blocks(dict):
+    # One format's slot lists of a gap block, the positions between two
+    # adjacent chain rows: keyed by the rows (lower, upper), a tuple with one
+    # slot list per position. The row lengths fix the block: j = len(lower),
+    # barred when upper has that length too. Box i is (upper_i - lower_i,
+    # lower_i - upper_{i+1}) with upper_{j+1} = 0, as in `differences`. The
+    # word formats drop the positions of boxes with no part (ell = 0), whose
+    # one partition has no factor. Slot lists are kept by (position, box) in
+    # `slots`, and both memos keep only what rests on boxes that _BOXES keeps
+    # (at most 64 partitions).
+    def __init__(self, render, words: bool = False):
+        super().__init__()
+        self.render, self.words, self.slots = render, words, {}
+
+    def __missing__(self, rows):
+        lower, upper = rows
+        j = len(lower)
+        barred = len(upper) == j
+        block, kept = [], True
+        for i, (u, x, t) in enumerate(zip(upper, lower, upper[1:] + (0,)), start=1):
+            if self.words and u == x:
+                continue
+            key = ((i, j, barred), (u - x, x - t))
+            slots = self.slots.get(key)
+            if slots is None:
+                slots = self.render(*key)
+                if key[1] in _BOXES:
+                    self.slots[key] = slots
+                else:
+                    kept = False
+            block.append(slots)
+        block = tuple(block)
+        if kept:
+            self[rows] = block
+        return block
+
+
+_BLOCKS = {
+    "pops-json": _Blocks(_pops_json_slots),
+    "pops-text": _Blocks(_pops_text_slots),
+    "words-text": _Blocks(_words_text_slots, words=True),
+    "words-json": _Blocks(_words_json_slots, words=True),
+    "words-degrees": _Blocks(_words_degrees, words=True),
+}
+
+
+def _slot_lists(blocks: _Blocks, pattern) -> list:
+    # The pattern's slot lists in word-block order: one memo read per block.
+    return list(itertools.chain.from_iterable(
+        map(blocks.__getitem__, itertools.pairwise(pattern.rows))))
 
 
 def cmd_pops(args, parser) -> int:
     weight = _resolve_weight(args, parser)
     patterns = (enumerate_restricted_patterns(weight.lam) if args.restricted
                 else enumerate_patterns(weight))
-    lines = _pop_text_lines if args.format == "text" else _pop_json_lines
+    text = args.format == "text"
+    blocks = _BLOCKS["pops-text" if text else "pops-json"]
+    order = None
+    if text:
+        # Slots go out sorted by label, as json.dumps(sort_keys=True) gives
+        # them; the order is the same for every pattern of the listing.
+        labels = list(map(label_text, overlay_positions(
+            weight.rank, restricted=args.restricted)))
+        if len(labels) > 1:  # one or no slot is already in order
+            order = operator.itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
     write = sys.stdout.write
     for pattern in patterns:
-        _write_lines(write, *lines(pattern))
+        combos = itertools.product(*_slot_lists(blocks, pattern))
+        if order is not None:
+            combos = map(order, combos)
+        if text:
+            head, tail = f"{_pattern_text(pattern)} overlays={{", "}\n"
+        else:
+            head = (f'{{"eta": {_row_set(pattern.eta_rows)}, '
+                    f'"lambda": {_row_set(pattern.lambda_rows)}, "overlays": [')
+            tail = f'], "rank": {pattern.rank}}}\n'
+        _write_lines(write, head, map(", ".join, combos), tail)
     return 0
 
 
 def cmd_monomials(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    text = args.format == "text"
-    sep = " " if text else ", "
     write = sys.stdout.write
+    if args.format == "text":
+        blocks = _BLOCKS["words-text"]
+        for pattern in enumerate_patterns(weight):
+            # The empty word prints "1".
+            slots = _slot_lists(blocks, pattern) or [["1"]]
+            _write_lines(write, "", map(" ".join, itertools.product(*slots)), "\n")
+        return 0
+    blocks, degree_blocks = _BLOCKS["words-json"], _BLOCKS["words-degrees"]
+    line = '{}, "factors": [{}'.format
     for pattern in enumerate_patterns(weight):
-        # Per position, one slot per partition: its factors, joined. The one
-        # partition of an empty box has no factor, so such positions drop out.
-        slots, degrees = [], []
-        for pos, (ell, ellp) in differences(pattern).items():
-            if not ell:
-                continue
-            prefix, suffix = ((f"x-{label_text(pos)}@t^", "") if text else
-                              (f'{{{_position_json(pos)}, "t": ', "}"))
-            by_t = [f"{prefix}{t}{suffix}" for t in range(ellp + 1)]
-            parts = _BOXES[ell, ellp]
-            slots.append([sep.join(map(by_t.__getitem__, p)) for p in parts])
-            if not text:
-                degrees.append(list(map(sum, parts)))
-        if text:  # the empty word prints "1"
-            _write_lines(write, "", itertools.product(*(slots or [["1"]])), "\n", sep)
-            continue
-        for combo, degree in zip(itertools.product(*slots), itertools.product(*degrees)):
-            write(f'{{"degree": {sum(degree)}, "factors": [')
-            write(sep.join(combo))
-            write("]}\n")
+        degrees = itertools.product(*_slot_lists(degree_blocks, pattern))
+        words = itertools.product(*_slot_lists(blocks, pattern))
+        _write_lines(write, '{"degree": ', map(line, map(sum, degrees),
+                                               map(", ".join, words)), "]}\n")
     return 0
 
 

@@ -21,7 +21,12 @@ from cpops.characters import (
     dominant_character_direct,
     expand_dominant,
 )
-from cpops.patterns import enumerate_patterns, pattern_from_json
+from cpops.patterns import (
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    pattern_from_json,
+    pattern_to_json,
+)
 from cpops.pops import (
     enumerate_pops,
     enumerate_restricted_pops,
@@ -246,13 +251,17 @@ def test_monomials_stream(capsys):
     assert lines[-1] == "1"
 
 
+def _pattern_text(p) -> str:
+    # The patterns text line of one pattern.
+    return (f"eta={json.dumps([list(r) for r in p.eta_rows])} "
+            f"lambda={json.dumps([list(r) for r in p.lambda_rows])}")
+
+
 def _pop_text(p) -> str:
     # The pops text line of one overlaid pattern, rendered from the Pop.
     overlays = {label_text(pos): list(parts)
                 for pos, parts in zip(p.pattern.positions, p.overlays)}
-    return (f"eta={json.dumps([list(r) for r in p.pattern.eta_rows])} "
-            f"lambda={json.dumps([list(r) for r in p.pattern.lambda_rows])} "
-            f"overlays={json.dumps(overlays, sort_keys=True)}")
+    return f"{_pattern_text(p.pattern)} overlays={json.dumps(overlays, sort_keys=True)}"
 
 
 def _listing(capsys, *argv) -> list:
@@ -265,11 +274,31 @@ def _listing(capsys, *argv) -> list:
 SWEEP = [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]
 
 
-@pytest.mark.parametrize("weight", SWEEP, ids=lambda w: ",".join(map(str, w.omegas)))
+def _omegas_id(weight) -> str:
+    return ",".join(map(str, weight.omegas))
+
+
+@pytest.mark.parametrize("weight", SWEEP, ids=_omegas_id)
+def test_patterns_stream_equals_pattern_to_json(capsys, weight):
+    # The listing renders rows from a memo; pattern_to_json is the reference.
+    lam = ",".join(map(str, weight.lam))
+    for kind, patterns in (((), enumerate_patterns(weight)),
+                           (("--restricted",), enumerate_restricted_patterns(weight.lam))):
+        patterns = list(patterns)
+        assert _listing(capsys, "patterns", *kind, "--lambdas", lam) == [
+            json.dumps(pattern_to_json(p), sort_keys=True) for p in patterns], kind
+        assert _listing(capsys, "patterns", *kind, "--format", "text",
+                        "--lambdas", lam) == list(map(_pattern_text, patterns)), kind
+
+
+# Rank 4, omegas (1,0,0,1): 336 overlaid patterns, with gap blocks of four
+# positions at the top.
+@pytest.mark.parametrize("weight", SWEEP + [DominantWeight.from_omegas((1, 0, 0, 1))],
+                         ids=_omegas_id)
 def test_streams_equal_the_per_pop_serializers(capsys, weight):
-    # The CLI renders each pattern's overlays at once; pop_to_json,
-    # pop_monomial and monomial_to_json, one overlaid pattern at a time, are
-    # the reference, line for line.
+    # The CLI renders each pattern's overlays at once from memos of rows and
+    # gap blocks; pop_to_json, pop_monomial and monomial_to_json, one
+    # overlaid pattern at a time, are the reference, line for line.
     lam = ",".join(map(str, weight.lam))
     pops = list(enumerate_pops(weight))
     restricted = list(enumerate_restricted_pops(weight.lam))
@@ -492,14 +521,58 @@ def test_char_peak_does_not_grow_with_output():
 
 def test_rendered_partitions_keep_only_small_boxes(capsys):
     # Rank 1, 12 omega_1: boxes of up to comb(12, 6) = 924 partitions. The
-    # rendered partitions, like the partitions themselves, are kept only for
-    # boxes of at most 64.
-    assert cli.main(["pops", "--omegas", "12"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2 ** 12
+    # rendered partitions, slot lists and gap blocks, like the partitions
+    # themselves, are kept only for boxes of at most 64.
+    for argv in (["pops", "--omegas", "12"], ["pops", "--format", "text", "--omegas", "12"],
+                 ["monomials", "--omegas", "12"],
+                 ["monomials", "--format", "json", "--omegas", "12"]):
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 ** 12, argv
     assert cli._PARTS_JSON
     for (ell, ellp), rendered in cli._PARTS_JSON.items():
         assert len(rendered) == comb(ell + ellp, ell) <= 64, (ell, ellp)
     assert (6, 6) not in cli._PARTS_JSON
+    for name, blocks in cli._BLOCKS.items():
+        assert blocks and blocks.slots, name
+        for (_, (ell, ellp)), slots in blocks.slots.items():
+            assert len(slots) == comb(ell + ellp, ell) <= 64, (name, ell, ellp)
+        kept = set(map(id, blocks.slots.values()))
+        for (lower, upper), block in blocks.items():
+            boxes = [(u - x, x - t) for u, x, t in zip(upper, lower, upper[1:] + (0,))]
+            assert all(comb(ell + ellp, ell) <= 64 for ell, ellp in boxes), (name, lower)
+            assert all(id(slots) in kept for slots in block), (name, lower)
+
+
+class _RecordingStdout:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_listings_write_in_batches(capsys, monkeypatch):
+    # Rank 1, 14 omega_1: the pattern eta=[[7]] lambda=[[14]] has a box of
+    # comb(14, 7) = 3,432 partitions, so its lines go out in several batches.
+    # The patterns listing batches across patterns: 1,386 at omegas (2,1,1).
+    for argv in (["pops", "--omegas", "14"], ["pops", "--format", "text", "--omegas", "14"],
+                 ["monomials", "--omegas", "14"],
+                 ["monomials", "--format", "json", "--omegas", "14"],
+                 ["patterns", "--omegas", "2,1,1"]):
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        recorder = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(argv) == 0
+        monkeypatch.undo()
+        assert "".join(recorder.chunks) == expected, argv
+        lines = [chunk.count("\n") for chunk in recorder.chunks]
+        assert max(lines) == cli.BATCH_LINES, argv
+        assert all(chunk.endswith("\n") for chunk in recorder.chunks), argv
 
 
 def test_cache_round_trip(tmp_path):
