@@ -4,14 +4,17 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern: per pattern it lists only the partitions of
-the top block and counts the other gaps' overlays as a product of box sizes.
+It builds no overlaid pattern: it walks pattern chains, reads each gap
+block's overlay count (a product of box sizes) and root expansion from memos
+keyed by the block's two rows, and lists the top block's partitions once per
+row under the top.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter, namedtuple
 from math import comb, prod
 from typing import Optional
@@ -25,25 +28,35 @@ from .characters import (
     total_dim,
 )
 from .oracle import freudenthal_character, weyl_dim
-from .patterns import (
-    differences,
+# verify walks pattern_chains; enumerate_patterns and
+# enumerate_restricted_patterns are imported only so that perfbench/traced.py
+# can wrap them under this module's name.
+from .patterns import (  # noqa: F401
+    PatternC,
+    chain_weight,
     enumerate_patterns,
     enumerate_restricted_patterns,
+    gap_block,
     interlacing_rows,
+    pattern_chains,
     pattern_to_json,
-    pattern_weight,
 )
 # enumerate_pops and enumerate_restricted_pops are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import (  # noqa: F401
-    _weight_by_roots,
     enumerate_f,
     enumerate_pops,
     enumerate_restricted_pops,
     partitions_in_box,
     pop_count_formula,
 )
-from .rootsys import DominantWeight, lambda_to_omegas, lambda_tuple
+from .rootsys import (
+    DominantWeight,
+    WeightVector,
+    lambda_to_omegas,
+    lambda_tuple,
+    root_vector,
+)
 
 
 class FiltrationTerm(namedtuple("FiltrationTerm", "ell ellp mult target")):
@@ -151,49 +164,96 @@ def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
     return None
 
 
-def _top_block_walk(row: tuple, restricted: bool) -> tuple:
-    # Walk the (restricted) patterns bounded by ``row`` once. Returns their
-    # number and their overlaid patterns counted by top block (ells, parts):
-    # the last len(row) - restricted gaps, between the top row and the one
-    # under it. Only that block's partitions are listed; the other gaps
-    # multiply each group by their box sizes. The empty row bounds the one
+class _Memo(dict):
+    # Values of ``fn`` keyed by its argument tuple. verify_identities makes
+    # its memos afresh on each call, so a long sweep grows none of them.
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(*key)
+        return value
+
+
+def _block_count(lower: tuple, upper: tuple) -> int:
+    # The overlays of a gap block: the product of its boxes' partition counts.
+    return prod([comb(ell + ellp, ell) for _, (ell, ellp) in gap_block(lower, upper)])
+
+
+def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
+    # The root expansion of a gap block: the sum of ell * root(position) over
+    # its positions.
+    acc = [0] * rank
+    for pos, (ell, _) in gap_block(lower, upper):
+        if ell:
+            for t, x in enumerate(root_vector(pos, rank)):
+                acc[t] += ell * x
+    return tuple(acc)
+
+
+def _weight_by_roots(chain: tuple, block_roots: _Memo) -> WeightVector:
+    # The bounding weight minus the gap-weighted sum of positive roots, one
+    # memo vector per gap block; must equal chain_weight(chain).
+    vectors = map(block_roots.__getitem__, itertools.pairwise(chain))
+    return tuple(map(operator.sub, chain[-1], map(sum, zip(*vectors))))
+
+
+def _top_block_walk(row: tuple, restricted: bool, counts: Optional[_Memo] = None,
+                    check=None) -> tuple:
+    # Walk the (restricted) pattern chains bounded by ``row`` once. Returns
+    # their number and their overlaid patterns counted by top block (ells,
+    # parts): the last len(row) - restricted gaps, between the top row and
+    # the one under it (the empty row when there is none). Every other block
+    # multiplies by its box-count product from ``counts`` (a fresh memo when
+    # None); the products are summed by the row under the top, and each such
+    # row's top-block partitions are listed once, after the walk. ``check``,
+    # when given, is called with every chain. The empty row bounds the one
     # rank-0 pattern.
     if not row:
         return 1, Counter({((), ()): 1})
-    stream = enumerate_restricted_patterns if restricted else enumerate_patterns
-    n, groups = 0, Counter()
-    for p in stream(row):
+    if counts is None:
+        counts = _Memo(_block_count)
+    n, under = 0, Counter()
+    for chain in pattern_chains(row, restricted):
         n += 1
-        boxes = list(differences(p).values())
-        cut = len(boxes) - len(row) + restricted
-        rest = prod([comb(ell + ellp, ell) for ell, ellp in boxes[:cut]])
-        ells = tuple([ell for ell, _ in boxes[cut:]])
-        for parts in itertools.product(*[partitions_in_box(*b) for b in boxes[cut:]]):
+        under[chain[-2] if len(chain) > 1 else ()] += prod(
+            map(counts.__getitem__, itertools.pairwise(chain[:-1])))
+        if check is not None:
+            check(chain)
+    groups = Counter()
+    for lower, rest in under.items():
+        boxes = [box for _, box in gap_block(lower, row)]
+        ells = tuple([ell for ell, _ in boxes])
+        for parts in itertools.product(*[partitions_in_box(*b) for b in boxes]):
             groups[ells, parts] += rest
     return n, groups
 
 
 def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
-    # The top-block groups of ``walk(top, restricted)`` must be exactly the
+    # The top-block groups of ``walk[top, restricted]`` must be exactly the
     # block choices for the top block's multiplicities, each of the size of
     # the other kind's count one half-step down, under the row ``target``
     # that the choice bounds.
     # Returns (groups, expected, witness).
-    groups = walk(top, restricted)[1]
+    groups = walk[top, restricted][1]
     expected = {}
     omegas = lambda_to_omegas(top)[:len(top) - restricted]
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
         ells, parts = zip(*combo)
         target = tuple(t - ell for t, ell in zip(top, ells))
-        expected[(ells, parts)] = sum(walk(target, not restricted)[1].values())
+        expected[(ells, parts)] = sum(walk[target, not restricted][1].values())
     return len(groups), len(expected), _diff_witness(groups, expected, "block")
 
 
 def verify_identities(lam: DominantWeight) -> Report:
     """Run every identity the package asserts for one dominant weight and
     report each as ok, fail, or skipped (when the rank is too small for it).
-    Overlaid patterns are counted by box products, never built, and each
-    (row, kind) pattern stream is walked once (lam's twice)."""
+    Overlaid patterns are counted by box products, never built, each gap
+    block's product and root expansion is computed once per call, and each
+    (row, kind) pattern stream is walked once."""
     r = lam.rank
     report = Report(lam)
 
@@ -201,18 +261,24 @@ def verify_identities(lam: DominantWeight) -> Report:
         status = "ok" if lhs == rhs and witness is None else "fail"
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
-    walk = functools.cache(_top_block_walk)
-
-    n_patterns = 0
+    counts = _Memo(_block_count)
+    walk = _Memo(functools.partial(_top_block_walk, counts=counts))
+    block_roots = _Memo(functools.partial(_block_roots, r))
     weights_agree = 0
     weight_witness = None
-    for p in enumerate_patterns(lam):
-        n_patterns += 1
-        w, by_roots = pattern_weight(p), _weight_by_roots(p)
+
+    def weigh(chain):
+        nonlocal weights_agree, weight_witness
+        w, by_roots = chain_weight(chain), _weight_by_roots(chain, block_roots)
         if w == by_roots:
             weights_agree += 1
         elif weight_witness is None:
+            p = PatternC.from_rows(chain)
             weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
+
+    # The weight check rides on the top-block walk of lam's stream.
+    walk[lam.lam, False] = _top_block_walk(lam.lam, False, counts, weigh)
+    n_patterns = walk[lam.lam, False][0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
     # The direct character counts every overlaid pattern once.
@@ -245,12 +311,12 @@ def verify_identities(lam: DominantWeight) -> Report:
             CheckResult("restricted-refinement-by-top-block", "skipped"))
 
     check("irreducible-dim-vs-intermediate-sum", n_patterns,
-          sum(walk(eta, True)[0] for eta in etas))
+          sum(walk[eta, True][0] for eta in etas))
 
     bad = None
     for eta in etas:
-        lhs = walk(eta, True)[0]
-        rhs = sum(walk(nu, False)[0] for nu in shtepin_branch_l(eta))
+        lhs = walk[eta, True][0]
+        rhs = sum(walk[nu, False][0] for nu in shtepin_branch_l(eta))
         if lhs != rhs:
             bad = f"eta={eta}: {lhs} vs {rhs}"
             break

@@ -7,16 +7,16 @@ tuple; --rank is optional and must agree with the tuple length when present.
 
 Listings stream one JSON object per line (--format json) or one display line
 per item (--format text) and are deterministic across runs. The patterns,
-pops and monomials listings render each chain row, each gap block (the gap
-positions between two adjacent rows) and each position's slots once, and
-write their lines in batches of at most BATCH_LINES. `char` computes
-only the dominant part of the character and writes the output from it, grade
-by grade, in bulk writes, rendering each image of a dominant weight's signed
-orbit once; the full character is never built. Exit status is 0
-on success, 1 when a requested check fails, 2 on usage errors (a --max-total
-too large to sweep and a dimension too long to print among them), 3 on an
-internal error (one stderr line, no traceback), 141 when the reader closes
-stdout early.
+pops and monomials listings walk pattern chains, render each chain row, each
+gap block (the gap positions between two adjacent rows) and each position's
+slots once, and write their lines in batches of at most BATCH_LINES. `char`
+computes only the dominant part of the character and writes the output from
+it, grade by grade, in bulk writes, rendering each image of a dominant
+weight's signed orbit once; the full character is never built. Exit status
+is 0 on success, 1 when a requested check fails, 2 on usage errors (a
+--max-total too large to sweep and a dimension too long to print among
+them), 3 on an internal error (one stderr line, no traceback), 141 when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -47,7 +47,13 @@ from .characters import (  # noqa: F401
     write_text,
 )
 from .oracle import weyl_dim
-from .patterns import enumerate_patterns, enumerate_restricted_patterns, overlay_positions
+from .patterns import (
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    gap_block,
+    overlay_positions,
+    pattern_chains,
+)
 # The pops and monomials listings render from memos of rows and gap blocks
 # and call none of pop_to_json, pop_monomial and monomial_to_json, which stay
 # the reference for their lines; perfbench/traced.py wraps these names here.
@@ -180,14 +186,16 @@ def _row_set(rows) -> str:
     return "[" + ", ".join(map(_ROWS.__getitem__, rows)) + "]"
 
 
-def _pattern_text(p) -> str:
-    return f"eta={_row_set(p.eta_rows)} lambda={_row_set(p.lambda_rows)}"
+# The listings read pattern chains (rows bottom-up: eta^1, lambda^1, ...),
+# so the eta rows are rows[::2] and the lambda rows rows[1::2].
+def _pattern_text(rows) -> str:
+    return f"eta={_row_set(rows[::2])} lambda={_row_set(rows[1::2])}"
 
 
-def _pattern_json(p) -> str:
-    # json.dumps(pattern_to_json(p), sort_keys=True)
-    return (f'{{"eta": {_row_set(p.eta_rows)}, "lambda": {_row_set(p.lambda_rows)}, '
-            f'"rank": {p.rank}}}')
+def _pattern_json(rows) -> str:
+    # json.dumps(pattern_to_json(PatternC.from_rows(rows)), sort_keys=True)
+    return (f'{{"eta": {_row_set(rows[::2])}, "lambda": {_row_set(rows[1::2])}, '
+            f'"rank": {len(rows[-1])}}}')
 
 
 # Lines go out in one write per batch of at most this many, so a pattern
@@ -208,10 +216,9 @@ def _write_lines(write, head: str, lines, tail: str) -> None:
 
 def cmd_patterns(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    items = (enumerate_restricted_patterns(weight.lam) if args.restricted
-             else enumerate_patterns(weight))
     line = _pattern_json if args.format == "json" else _pattern_text
-    _write_lines(sys.stdout.write, "", map(line, items), "\n")
+    _write_lines(sys.stdout.write, "",
+                 map(line, pattern_chains(weight, args.restricted)), "\n")
     return 0
 
 
@@ -275,11 +282,9 @@ def _words_degrees(pos, box) -> list:
 class _Blocks(dict):
     # One format's slot lists of a gap block, the positions between two
     # adjacent chain rows: keyed by the rows (lower, upper), a tuple with one
-    # slot list per position. The row lengths fix the block: j = len(lower),
-    # barred when upper has that length too. Box i is (upper_i - lower_i,
-    # lower_i - upper_{i+1}) with upper_{j+1} = 0, as in `differences`. The
-    # word formats drop the positions of boxes with no part (ell = 0), whose
-    # one partition has no factor. Slot lists are kept by (position, box) in
+    # slot list per position of their `gap_block`. The word formats drop the
+    # positions of boxes with no part (ell = 0), whose one partition has no
+    # factor. Slot lists are kept by (position, box) in
     # `slots`, and both memos keep only what rests on boxes that _BOXES keeps
     # (at most 64 partitions).
     def __init__(self, render, words: bool = False):
@@ -287,18 +292,15 @@ class _Blocks(dict):
         self.render, self.words, self.slots = render, words, {}
 
     def __missing__(self, rows):
-        lower, upper = rows
-        j = len(lower)
-        barred = len(upper) == j
         block, kept = [], True
-        for i, (u, x, t) in enumerate(zip(upper, lower, upper[1:] + (0,)), start=1):
-            if self.words and u == x:
+        for pos, box in gap_block(*rows):
+            if self.words and not box[0]:
                 continue
-            key = ((i, j, barred), (u - x, x - t))
+            key = pos, box
             slots = self.slots.get(key)
             if slots is None:
                 slots = self.render(*key)
-                if key[1] in _BOXES:
+                if box in _BOXES:
                     self.slots[key] = slots
                 else:
                     kept = False
@@ -318,16 +320,14 @@ _BLOCKS = {
 }
 
 
-def _slot_lists(blocks: _Blocks, pattern) -> list:
-    # The pattern's slot lists in word-block order: one memo read per block.
+def _slot_lists(blocks: _Blocks, rows: tuple) -> list:
+    # The chain's slot lists in word-block order: one memo read per block.
     return list(itertools.chain.from_iterable(
-        map(blocks.__getitem__, itertools.pairwise(pattern.rows))))
+        map(blocks.__getitem__, itertools.pairwise(rows))))
 
 
 def cmd_pops(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    patterns = (enumerate_restricted_patterns(weight.lam) if args.restricted
-                else enumerate_patterns(weight))
     text = args.format == "text"
     blocks = _BLOCKS["pops-text" if text else "pops-json"]
     order = None
@@ -339,16 +339,16 @@ def cmd_pops(args, parser) -> int:
         if len(labels) > 1:  # one or no slot is already in order
             order = operator.itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
     write = sys.stdout.write
-    for pattern in patterns:
-        combos = itertools.product(*_slot_lists(blocks, pattern))
+    for rows in pattern_chains(weight, args.restricted):
+        combos = itertools.product(*_slot_lists(blocks, rows))
         if order is not None:
             combos = map(order, combos)
         if text:
-            head, tail = f"{_pattern_text(pattern)} overlays={{", "}\n"
+            head, tail = f"{_pattern_text(rows)} overlays={{", "}\n"
         else:
-            head = (f'{{"eta": {_row_set(pattern.eta_rows)}, '
-                    f'"lambda": {_row_set(pattern.lambda_rows)}, "overlays": [')
-            tail = f'], "rank": {pattern.rank}}}\n'
+            head = (f'{{"eta": {_row_set(rows[::2])}, '
+                    f'"lambda": {_row_set(rows[1::2])}, "overlays": [')
+            tail = f'], "rank": {len(rows[-1])}}}\n'
         _write_lines(write, head, map(", ".join, combos), tail)
     return 0
 
@@ -358,16 +358,16 @@ def cmd_monomials(args, parser) -> int:
     write = sys.stdout.write
     if args.format == "text":
         blocks = _BLOCKS["words-text"]
-        for pattern in enumerate_patterns(weight):
+        for rows in pattern_chains(weight, False):
             # The empty word prints "1".
-            slots = _slot_lists(blocks, pattern) or [["1"]]
+            slots = _slot_lists(blocks, rows) or [["1"]]
             _write_lines(write, "", map(" ".join, itertools.product(*slots)), "\n")
         return 0
     blocks, degree_blocks = _BLOCKS["words-json"], _BLOCKS["words-degrees"]
     line = '{}, "factors": [{}'.format
-    for pattern in enumerate_patterns(weight):
-        degrees = itertools.product(*_slot_lists(degree_blocks, pattern))
-        words = itertools.product(*_slot_lists(blocks, pattern))
+    for rows in pattern_chains(weight, False):
+        degrees = itertools.product(*_slot_lists(degree_blocks, rows))
+        words = itertools.product(*_slot_lists(blocks, rows))
         _write_lines(write, '{"degree": ', map(line, map(sum, degrees),
                                                map(", ".join, words)), "]}\n")
     return 0

@@ -14,9 +14,10 @@ k even), i = 1..k//2 + 1. Walking k upward gives the one word-block order of
 :func:`overlay_positions`: for each level j < r the barred block then the
 unbarred block, then for full patterns the barred block at level r.
 
-Enumeration walks the chain depth-first from the bounding row down, in a
-loop. Each row is constrained entrywise by the row above it only, so its
-candidate values form independent ranges and generation never backtracks.
+Enumeration (:func:`pattern_chains`) walks the chain depth-first from the
+bounding row down, in a loop. Each row is constrained entrywise by the row
+above it only, so its candidate values form independent ranges and
+generation never backtracks.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ def interlacing_rows(upper: tuple) -> Iterator[tuple]:
         *[range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)])
 
 
-def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
-    # Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
-    # bounding row, depth-first from the top: ``pending[-1]`` yields the
-    # candidates for row k = n - len(pending) under the current rows above it.
+def pattern_chains(bounding, restricted: bool) -> Iterator[tuple]:
+    """Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
+    bounding row, as the tuple of rows read bottom-up. The walk is
+    depth-first from the top, every row in lexicographic order of its
+    entries, so the stream is deterministic."""
+    # ``pending[-1]`` yields the candidates for row k = n - len(pending)
+    # under the current rows above it.
     top = lambda_tuple(bounding)
     n = 2 * len(top) - restricted
     rows, pending = [None] * n, [iter((top,))]
@@ -142,22 +146,32 @@ def _patterns(bounding, restricted: bool) -> Iterator[PatternC]:
             pending.append(interlacing_rows(row + (0,) if k % 2 else row))
         else:
             rows[0] = row
-            yield PatternC.from_rows(rows)
+            yield tuple(rows)
 
 
 def enumerate_patterns(bounding) -> Iterator[PatternC]:
-    """All patterns with the given bounding sequence, each exactly once.
+    """All patterns with the given bounding sequence, each exactly once, in
+    the order of :func:`pattern_chains`.
 
     ``bounding`` is any lambda tuple (a :class:`DominantWeight` is one).
-    Rows are generated downward from the bounding row, every row in
-    lexicographic order of its entries, so the stream is deterministic.
     """
-    return _patterns(bounding, False)
+    return map(PatternC.from_rows, pattern_chains(bounding, False))
 
 
 def enumerate_restricted_patterns(bounding) -> Iterator[PatternC]:
     """All restricted patterns bounded by the weakly decreasing ``bounding``."""
-    return _patterns(bounding, True)
+    return map(PatternC.from_rows, pattern_chains(bounding, True))
+
+
+def gap_block(lower: tuple, upper: tuple) -> list:
+    """The gaps between two adjacent chain rows, as ((i, j, barred), (l, lp))
+    pairs for i = 1..j: j = len(lower), barred when upper has length j too,
+    l = upper_i - lower_i and lp = lower_i - upper_{i+1} (upper_{j+1} = 0).
+    Walking the chain's adjacent pairs bottom-up gives :func:`differences`."""
+    j = len(lower)
+    barred = len(upper) == j
+    return [((i, j, barred), (u - x, x - t)) for i, (u, x, t)
+            in enumerate(zip(upper, lower, upper[1:] + (0,)), start=1)]
 
 
 def differences(p: PatternC) -> dict:
@@ -188,19 +202,21 @@ def reconstruct_pattern(bounding: Sequence[int], gaps: dict) -> PatternC:
     return PatternC.from_rows(rows[::-1])
 
 
+def chain_weight(rows: Sequence[tuple]) -> WeightVector:
+    """Epsilon-coordinates (a_1, ..., a_r) of the pattern whose chain is
+    ``rows``, from its row sums: a_j is twice the eta^j row sum minus the
+    lam^j and lam^{j-1} row sums; a restricted chain reads its bounding row
+    eta^r in place of the missing lam^r."""
+    sums = list(map(sum, rows))
+    if len(sums) % 2:  # restricted: 2|eta^r| - |eta^r| - |lam^{r-1}|
+        sums.append(sums[-1])
+    eta, lam = sums[::2], sums[1::2]
+    return tuple([2 * e - x - prev for e, x, prev in zip(eta, lam, [0] + lam)])
+
+
 def pattern_weight(p: PatternC) -> WeightVector:
-    """Epsilon-coordinates (a_1, ..., a_r) of the pattern, where a_j is twice
-    the eta^j row sum minus the lam^j and lam^{j-1} row sums; a restricted
-    pattern reads its bounding row eta^r in place of the missing lam^r."""
-    coords = []
-    prev_sum = 0
-    for eta, lam in zip(p.eta_rows, p.lambda_rows):
-        lam_sum = sum(lam)
-        coords.append(2 * sum(eta) - lam_sum - prev_sum)
-        prev_sum = lam_sum
-    if len(coords) < p.rank:  # restricted: 2|eta^r| - |eta^r| - |lam^{r-1}|
-        coords.append(sum(p.eta_rows[-1]) - prev_sum)
-    return tuple(coords)
+    """Epsilon-coordinates of the pattern: :func:`chain_weight` of its rows."""
+    return chain_weight(p.rows)
 
 
 def pattern_to_json(p: PatternC) -> dict:

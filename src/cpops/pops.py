@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
 from math import comb, log10
 from typing import Iterator, Sequence
 
@@ -29,11 +28,12 @@ from .patterns import (
     pattern_to_json,
     pattern_weight,
 )
-from .rootsys import (
+# root_vector is imported only so that perfbench/traced.py can count its
+# calls under this module's name.
+from .rootsys import (  # noqa: F401
     WeightVector,
     label_text,
     lambda_to_omegas,
-    positive_root_labels,
     root_vector,
 )
 
@@ -177,26 +177,6 @@ def pop_weight(p: Pop) -> WeightVector:
     """Weight of an overlaid pattern: the weight of its underlying pattern.
     ``verify_identities`` checks that formula against the root expansion."""
     return pattern_weight(p.pattern)
-
-
-@lru_cache(maxsize=1)
-def _root_table(rank: int) -> dict:
-    # Root vectors keyed by RootLabel; plain position tuples look them up,
-    # since a RootLabel equals its tuple.
-    return {label: root_vector(label, rank) for label in positive_root_labels(rank)}
-
-
-def _weight_by_roots(pattern: PatternC) -> WeightVector:
-    # Bounding weight minus the gap-weighted sum of positive roots; must
-    # equal pattern_weight(pattern).
-    r = pattern.rank
-    roots = _root_table(r)
-    acc = list(pattern.bounding)
-    for pos, (ell, _) in differences(pattern).items():
-        vec = roots[pos]
-        for t in range(r):
-            acc[t] -= ell * vec[t]
-    return tuple(acc)
 
 
 def pop_boxes(p) -> int:

@@ -177,8 +177,11 @@ VERIFY_FAULTS = {
         "freudenthal_character", lambda f: _after(f, _move_one),
         {"zeroth-piece-vs-freudenthal"}),
     "weight-by-roots-zero": (
-        "_weight_by_roots", lambda f: lambda p: (0,) * p.rank,
+        "_block_roots", lambda f: lambda rank, lower, upper: (0,) * rank,
         {"pattern-weight-vs-root-expansion"}),
+    "block-count-plus-one": (
+        "_block_count", lambda f: lambda lower, upper: f(lower, upper) + 1,
+        {"pop-refinement-by-top-block", "restricted-refinement-by-top-block"}),
     "branch-l-drops-last": (
         "shtepin_branch_l", lambda f: lambda eta: f(eta)[:-1],
         {"intermediate-dim-vs-irreducible-sum"}),
@@ -186,7 +189,9 @@ VERIFY_FAULTS = {
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
         {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
     "restricted-patterns-drops-last": (
-        "enumerate_restricted_patterns", lambda f: lambda eta: list(f(eta))[:-1],
+        "pattern_chains",
+        lambda f: lambda row, restricted: list(f(row, restricted))[:-1] if restricted
+        else f(row, restricted),
         {"pop-refinement-by-top-block", "restricted-refinement-by-top-block",
          "irreducible-dim-vs-intermediate-sum",
          "intermediate-dim-vs-irreducible-sum"}),
@@ -214,17 +219,16 @@ def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
 
 def test_verify_identities_walks_each_stream_once(monkeypatch):
     calls = Counter()
-    for name in ("enumerate_patterns", "enumerate_restricted_patterns"):
-        def counted(row, stream=getattr(branching, name), name=name):
-            calls[tuple(row), name] += 1
-            return stream(row)
-        monkeypatch.setattr(branching, name, counted)
+
+    def counted(row, restricted, chains=branching.pattern_chains):
+        calls[tuple(row), restricted] += 1
+        return chains(row, restricted)
+    monkeypatch.setattr(branching, "pattern_chains", counted)
     lam = DominantWeight.from_omegas((1, 1, 1))
     assert verify_identities(lam).ok
-    # lam's full stream: the weight loop and the top-block walk.
-    assert calls.pop((lam.lam, "enumerate_patterns")) == 2
-    assert {name for _, name in calls} == {
-        "enumerate_patterns", "enumerate_restricted_patterns"}
+    # lam's full stream feeds both the top-block walk and the weight check.
+    assert calls[lam.lam, False] == 1
+    assert {restricted for _, restricted in calls} == {False, True}
     assert set(calls.values()) == {1}
 
 

@@ -94,6 +94,16 @@ def test_verify_single_weight_json(capsys):
     assert len(reports) == 1 and reports[0]["ok"] is True
 
 
+def test_verify_json_sweep_digest(capsys):
+    # The JSON reports of the rank-3 sweep to total 3, pinned to their stdout
+    # digest from before verify read its gap blocks from row-pair memos.
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", "--rank", "3",
+                           "--max-total", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "efbce79144c917dbeb3fe4cf8a6fa7b5b66363cd753e9696b19f9dfb0d83101a")
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(branching, "weyl_dim", lambda lam: 0)
     code, out, _ = run_cli(capsys, "verify", "--omegas", "1,1")

@@ -8,6 +8,8 @@ from cpops.patterns import (
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
+    gap_block,
+    pattern_chains,
     pattern_from_json,
     pattern_to_json,
     pattern_weight,
@@ -118,6 +120,18 @@ def test_enumeration_valid_unique_deterministic():
         assert validate_pattern(p) == []
 
 
+def test_chains_are_the_enumerated_rows():
+    # Each chain is its own tuple, not a view of the walk's working rows,
+    # and the enumerators wrap the chains in stream order.
+    for r in (1, 2, 3):
+        for w in sweep_dominant_weights(r, 2):
+            for restricted, stream in ((False, enumerate_patterns),
+                                       (True, enumerate_restricted_patterns)):
+                chains = list(pattern_chains(w, restricted))
+                assert chains == [p.rows for p in stream(w)], (w, restricted)
+                assert all(type(chain) is tuple for chain in chains)
+
+
 def test_restricted_counts():
     assert len(list(enumerate_restricted_patterns((0, 0)))) == 1
     assert len(list(enumerate_restricted_patterns((1, 0)))) == 3
@@ -174,6 +188,9 @@ def test_differences_nonnegative_and_reconstruction():
             for ell, ellp in d.values():
                 assert ell >= 0 and ellp >= 0
             assert reconstruct_pattern(p.bounding, d) == p
+            # The gap blocks of adjacent rows, bottom-up, are the same gaps.
+            assert [gap for rows in itertools.pairwise(p.rows)
+                    for gap in gap_block(*rows)] == list(d.items())
 
 
 def test_pattern_weight_examples():
