@@ -33,6 +33,7 @@ from .oracle import freudenthal_character, weyl_dim
 # can wrap them under this module's name.
 from .patterns import (  # noqa: F401
     PatternC,
+    _Memo,
     chain_weight,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -164,20 +165,6 @@ def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
     return None
 
 
-class _Memo(dict):
-    # Values of ``fn`` keyed by its argument tuple. verify_identities makes
-    # its memos afresh on each call, so a long sweep grows none of them.
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(*key)
-        return value
-
-
 def _block_count(lower: tuple, upper: tuple) -> int:
     # The overlays of a gap block: the product of its boxes' partition counts.
     return prod([comb(ell + ellp, ell) for _, (ell, ellp) in gap_block(lower, upper)])
@@ -201,21 +188,18 @@ def _weight_by_roots(chain: tuple, block_roots: _Memo) -> WeightVector:
     return tuple(map(operator.sub, chain[-1], map(sum, zip(*vectors))))
 
 
-def _top_block_walk(row: tuple, restricted: bool, counts: Optional[_Memo] = None,
-                    check=None) -> tuple:
+def _top_block_walk(row: tuple, restricted: bool, counts: _Memo, check=None) -> tuple:
     # Walk the (restricted) pattern chains bounded by ``row`` once. Returns
     # their number and their overlaid patterns counted by top block (ells,
     # parts): the last len(row) - restricted gaps, between the top row and
     # the one under it (the empty row when there is none). Every other block
-    # multiplies by its box-count product from ``counts`` (a fresh memo when
-    # None); the products are summed by the row under the top, and each such
-    # row's top-block partitions are listed once, after the walk. ``check``,
-    # when given, is called with every chain. The empty row bounds the one
-    # rank-0 pattern.
+    # multiplies by its box-count product from ``counts``, a memo of
+    # _block_count; the products are summed by the row under the top, and
+    # each such row's top-block partitions are listed once, after the walk.
+    # ``check``, when given, is called with every chain. The empty row bounds
+    # the one rank-0 pattern.
     if not row:
         return 1, Counter({((), ()): 1})
-    if counts is None:
-        counts = _Memo(_block_count)
     n, under = 0, Counter()
     for chain in pattern_chains(row, restricted):
         n += 1
@@ -261,6 +245,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         status = "ok" if lhs == rhs and witness is None else "fail"
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
+    # The memos are made afresh on each call, so a long sweep grows none.
     counts = _Memo(_block_count)
     walk = _Memo(functools.partial(_top_block_walk, counts=counts))
     block_roots = _Memo(functools.partial(_block_roots, r))

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import oracle
-from .patterns import _json_field, _json_ints, interlacing_rows
+from .patterns import _json_field, _json_ints, _Memo, interlacing_rows
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import enumerate_pops, pop_boxes, pop_weight  # noqa: F401
@@ -311,11 +311,12 @@ def _dense_character(rank: int, sums: dict) -> "GradedCharacter":
     return ch
 
 
-def _gap_boxes(upper: tuple, lower: tuple) -> Sequence[int]:
+def _gap_boxes(lower: tuple, upper: tuple) -> Sequence[int]:
     # Product of the box generating functions, the Gaussian binomials
-    # [ell + ellp, ell], over the gaps between a row and the row under it:
-    # box i is (ell, ellp) = (upper_i - lower_i, lower_i - upper_{i+1}).
-    # An eta row's upper row carries the trailing 0 of its lambda row.
+    # [ell + ellp, ell], over the gaps between two adjacent rows, in
+    # gap_block's (lower, upper) order: box i is (ell, ellp) =
+    # (upper_i - lower_i, lower_i - upper_{i+1}). An eta row's upper row
+    # carries the trailing 0 of its lambda row.
     poly = (1,)
     for i, x in enumerate(lower):
         ell, ellp = upper[i] - x, x - upper[i + 1]
@@ -343,13 +344,7 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     that reach the same key merge there. Each box generating function is a
     Gaussian binomial, read from the rows that the fermionic walk also reads.
     """
-    pairs = {}
-
-    def boxes(upper: tuple, lower: tuple) -> Sequence[int]:
-        if (upper, lower) not in pairs:
-            pairs[upper, lower] = _gap_boxes(upper, lower)
-        return pairs[upper, lower]
-
+    boxes = _Memo(_gap_boxes)
     state = {(lam.lam, 0): {(): (1,)}}
     for k in range(2 * lam.rank):
         below = {}
@@ -358,13 +353,13 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
                 row, a_next = key
                 upper = row + (0,)
                 for eta in interlacing_rows(upper):
-                    _push(below, (eta, sum(row), a_next), (), boxes(upper, eta), sums)
+                    _push(below, (eta, sum(row), a_next), (), boxes[eta, upper], sums)
             else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
                 eta, lam_sum, a_next = key
                 for row in interlacing_rows(eta):
                     a = 2 * sum(eta) - lam_sum - sum(row)
                     if a >= a_next:
-                        _push(below, (row, a), (a,), boxes(eta, row), sums)
+                        _push(below, (row, a), (a,), boxes[row, eta], sums)
         state = below
     # One final key ((), a_1) per value of a_1, so their weights are disjoint.
     return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()})

@@ -72,8 +72,9 @@ def _row_name(k: int) -> str:
     return f"{'lambda' if k % 2 else 'eta'}^{k // 2 + 1}"
 
 
-# A command reads at most three (rank, kind) keys: verify reads (r, full),
-# (r, restricted) and (r - 1, full). Bounding the memo frees large ranks.
+# Read through PatternC.positions (by differences, the Pop serializers and
+# pop_from_json) and by the text pops listing, which reads one (rank, kind)
+# key per command. Bounding the memo frees large ranks.
 @functools.lru_cache(maxsize=4)
 def overlay_positions(rank: int, *, restricted: bool = False) -> tuple:
     """Overlay positions (i, j, barred) in word-block order: for each level
@@ -172,6 +173,21 @@ def gap_block(lower: tuple, upper: tuple) -> list:
     barred = len(upper) == j
     return [((i, j, barred), (u - x, x - t)) for i, (u, x, t)
             in enumerate(zip(upper, lower, upper[1:] + (0,)), start=1)]
+
+
+class _Memo(dict):
+    # Values of ``fn`` keyed by its argument tuple: memo[a, b] is fn(a, b),
+    # computed once. Every entry is kept, so callers make one per call or
+    # command where the keys could grow without bound.
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(*key)
+        return value
 
 
 def differences(p: PatternC) -> dict:

@@ -23,6 +23,7 @@ from .patterns import (
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
+    gap_block,
     overlay_positions,  # re-exported as cpops.pops.overlay_positions
     pattern_from_json,
     pattern_to_json,
@@ -113,25 +114,52 @@ class PbwMonomial(namedtuple("PbwMonomial", "factors")):
         return " ".join(f"x-{label_text(label)}@t^{t}" for label, t in self.factors)
 
 
-def _overlays_for(pattern: PatternC) -> Iterator[Pop]:
-    # The memo is read directly: a Python call per box is a measurable share
-    # of enumerate_pops, which `dim --check` and `count` walk.
-    boxes = differences(pattern).values()
-    for combo in itertools.product(*map(_BOXES.__getitem__, boxes)):
+class _Blocks(dict):
+    # The gap blocks of pattern chains, keyed by the block's two rows (lower,
+    # upper): one list per position of their `gap_block`, ``render(position,
+    # box)``, with one entry per partition of the box in _BOXES order. With
+    # ``words`` the positions of boxes with no part (ell = 0) are dropped:
+    # their one partition gives no factor of a word. Every renderer reads
+    # its box from _BOXES, and a block is kept only when _BOXES keeps each of
+    # its boxes, so the memo grows with the small boxes alone.
+    def __init__(self, render, words: bool = False):
+        super().__init__()
+        self.render, self.words = render, words
+
+    def __missing__(self, rows):
+        gaps = [(pos, box) for pos, box in gap_block(*rows) if box[0] or not self.words]
+        block = tuple([self.render(pos, box) for pos, box in gaps])
+        if all(box in _BOXES for _, box in gaps):
+            self[rows] = block
+        return block
+
+
+def _block_lists(blocks: _Blocks, rows: tuple) -> list:
+    # The chain's per-position lists in word-block order: one memo read per
+    # gap block.
+    return list(itertools.chain.from_iterable(
+        map(blocks.__getitem__, itertools.pairwise(rows))))
+
+
+def _overlays_for(pattern: PatternC, blocks: _Blocks) -> Iterator[Pop]:
+    # Every choice of one partition per position, read from the block memo.
+    for combo in itertools.product(*_block_lists(blocks, pattern.rows)):
         yield Pop(pattern, combo)
 
 
 def enumerate_pops(bounding) -> Iterator[Pop]:
     """All overlaid patterns with the given bounding sequence: the pattern
     stream crossed with every choice of box-fitting partitions."""
+    blocks = _Blocks(lambda pos, box: _BOXES[box])
     for pattern in enumerate_patterns(bounding):
-        yield from _overlays_for(pattern)
+        yield from _overlays_for(pattern, blocks)
 
 
 def enumerate_restricted_pops(bounding) -> Iterator[Pop]:
     """Overlaid restricted patterns bounded by the weakly decreasing input."""
+    blocks = _Blocks(lambda pos, box: _BOXES[box])
     for pattern in enumerate_restricted_patterns(bounding):
-        yield from _overlays_for(pattern)
+        yield from _overlays_for(pattern, blocks)
 
 
 def _comb0(n: int, k: int) -> int:

@@ -211,7 +211,7 @@ def test_verify_identities_reports_each_fault(monkeypatch, fault):
 
 
 def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
-    def refuse(pattern):
+    def refuse(*args):
         raise AssertionError("an overlaid pattern was built")
     monkeypatch.setattr(pops, "_overlays_for", refuse)
     assert verify_identities(DominantWeight.from_omegas((1, 1, 1))).ok

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -24,10 +25,14 @@ from cpops.characters import (
 from cpops.patterns import (
     enumerate_patterns,
     enumerate_restricted_patterns,
+    gap_block,
+    pattern_chains,
     pattern_from_json,
     pattern_to_json,
 )
 from cpops.pops import (
+    _block_lists,
+    _Blocks,
     enumerate_pops,
     enumerate_restricted_pops,
     monomial_to_json,
@@ -531,26 +536,30 @@ def test_char_peak_does_not_grow_with_output():
 
 def test_rendered_partitions_keep_only_small_boxes(capsys):
     # Rank 1, 12 omega_1: boxes of up to comb(12, 6) = 924 partitions. The
-    # rendered partitions, slot lists and gap blocks, like the partitions
-    # themselves, are kept only for boxes of at most 64.
+    # gap blocks, like the partitions themselves, are kept only when every
+    # box of the block holds at most 64 partitions.
     for argv in (["pops", "--omegas", "12"], ["pops", "--format", "text", "--omegas", "12"],
                  ["monomials", "--omegas", "12"],
                  ["monomials", "--format", "json", "--omegas", "12"]):
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 ** 12, argv
-    assert cli._PARTS_JSON
-    for (ell, ellp), rendered in cli._PARTS_JSON.items():
-        assert len(rendered) == comb(ell + ellp, ell) <= 64, (ell, ellp)
-    assert (6, 6) not in cli._PARTS_JSON
-    for name, blocks in cli._BLOCKS.items():
-        assert blocks and blocks.slots, name
-        for (_, (ell, ellp)), slots in blocks.slots.items():
-            assert len(slots) == comb(ell + ellp, ell) <= 64, (name, ell, ellp)
-        kept = set(map(id, blocks.slots.values()))
+    renderers = {"pops-json": (cli._pops_json_slots, False),
+                 "pops-text": (cli._pops_text_slots, False),
+                 "words-text": (cli._words_text_slots, True),
+                 "words-json": (cli._words_json_slots, True),
+                 "words-degrees": (cli._words_degrees, True)}
+    for name, (render, words) in renderers.items():
+        blocks = _Blocks(render, words)
+        for rows in pattern_chains((12,), False):
+            boxes = [box for pair in itertools.pairwise(rows)
+                     for _, box in gap_block(*pair) if box[0] or not words]
+            assert [len(slots) for slots in _block_lists(blocks, rows)] == [
+                comb(ell + ellp, ell) for ell, ellp in boxes], (name, rows)
+        assert blocks, name
         for (lower, upper), block in blocks.items():
             boxes = [(u - x, x - t) for u, x, t in zip(upper, lower, upper[1:] + (0,))]
             assert all(comb(ell + ellp, ell) <= 64 for ell, ellp in boxes), (name, lower)
-            assert all(id(slots) in kept for slots in block), (name, lower)
+        assert ((6,), (12,)) not in blocks, name
 
 
 class _RecordingStdout:

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
-from cpops.branching import _top_block_walk, shtepin_branch_v
+from cpops.branching import _block_count, _top_block_walk, shtepin_branch_v
 from cpops.patterns import (
     PatternC,
+    _Memo,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -263,6 +264,25 @@ def _groups_per_pop(pops, top, k):
     return groups
 
 
+def _gap_construction(patterns) -> list:
+    # Every pattern crossed with every choice of one partition per box of its
+    # position-keyed gaps, built without the gap-block memo.
+    return [Pop(p, combo) for p in patterns for combo in itertools.product(
+        *[partitions_in_box(*box) for box in differences(p).values()])]
+
+
+def test_enumerated_overlays_equal_the_gap_construction():
+    # The overlay streams read gap blocks from the memo type the listings
+    # use; (12,) has boxes of more than 64 partitions, which it does not keep.
+    weights = [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]
+    weights += [DominantWeight.from_omegas((1, 0, 0, 1)),
+                DominantWeight.from_omegas((12,))]
+    for w in weights:
+        assert list(enumerate_pops(w)) == _gap_construction(enumerate_patterns(w)), w
+        assert list(enumerate_restricted_pops(w.lam)) == _gap_construction(
+            enumerate_restricted_patterns(w.lam)), w
+
+
 def test_refinement_by_top_block_small():
     # splitting the overlaid patterns on their top barred block reproduces
     # the admissible block set crossed with restricted enumerations, and the
@@ -278,9 +298,9 @@ def test_refinement_by_top_block_small():
                 expected[(ells, parts)] = sum(
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
-            assert _top_block_walk(w.lam, False) == (
+            assert _top_block_walk(w.lam, False, _Memo(_block_count)) == (
                 sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
-                assert _top_block_walk(eta, True) == (
+                assert _top_block_walk(eta, True, _Memo(_block_count)) == (
                     sum(1 for _ in enumerate_restricted_patterns(eta)),
                     _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta
