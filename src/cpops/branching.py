@@ -4,10 +4,10 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern: it walks pattern chains, reads each gap
-block's overlay count (a product of box sizes) and root expansion from memos
-keyed by the block's two rows, and lists the top block's partitions once per
-row under the top.
+It builds no overlaid pattern: :func:`count_chains` counts the patterns and
+overlaid patterns under each row in one pass down the rows, the top block's
+partitions are listed once per row under the top, and lambda's chains are
+walked once, for the weight check.
 """
 
 from __future__ import annotations
@@ -170,6 +170,24 @@ def _block_count(lower: tuple, upper: tuple) -> int:
     return prod([comb(ell + ellp, ell) for _, (ell, ellp) in gap_block(lower, upper)])
 
 
+def count_chains(bounding, restricted: bool = False) -> tuple:
+    """The number of full (or restricted) patterns bounded by ``bounding``
+    and of their overlaid patterns, in one pass down the rows: each row
+    keeps the chains above it and their overlays, and the row under it
+    multiplies the overlays by the gap block's :func:`_block_count`. No
+    chain is listed. The empty row bounds the one rank-0 pattern."""
+    top = lambda_tuple(bounding) if bounding else ()
+    level = {top: (1, 1)}
+    for k in range(2 * len(top) - 1 - restricted, 0, -1):
+        below = {}
+        for row, (n, overlays) in level.items():
+            for lower in interlacing_rows(row + (0,) if k % 2 else row):
+                m, o = below.get(lower, (0, 0))
+                below[lower] = (m + n, o + overlays * _block_count(lower, row))
+        level = below
+    return tuple(map(sum, zip(*level.values())))
+
+
 def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
     # The root expansion of a gap block: the sum of ell * root(position) over
     # its positions.
@@ -188,31 +206,21 @@ def _weight_by_roots(chain: tuple, block_roots: _Memo) -> WeightVector:
     return tuple(map(operator.sub, chain[-1], map(sum, zip(*vectors))))
 
 
-def _top_block_walk(row: tuple, restricted: bool, counts: _Memo, check=None) -> tuple:
-    # Walk the (restricted) pattern chains bounded by ``row`` once. Returns
-    # their number and their overlaid patterns counted by top block (ells,
-    # parts): the last len(row) - restricted gaps, between the top row and
-    # the one under it (the empty row when there is none). Every other block
-    # multiplies by its box-count product from ``counts``, a memo of
-    # _block_count; the products are summed by the row under the top, and
-    # each such row's top-block partitions are listed once, after the walk.
-    # ``check``, when given, is called with every chain. The empty row bounds
-    # the one rank-0 pattern.
-    if not row:
-        return 1, Counter({((), ()): 1})
-    n, under = 0, Counter()
-    for chain in pattern_chains(row, restricted):
-        n += 1
-        under[chain[-2] if len(chain) > 1 else ()] += prod(
-            map(counts.__getitem__, itertools.pairwise(chain[:-1])))
-        if check is not None:
-            check(chain)
-    groups = Counter()
-    for lower, rest in under.items():
+def _top_block_walk(row: tuple, restricted: bool, totals: _Memo) -> tuple:
+    # The (restricted) patterns bounded by ``row``: their number and their
+    # overlaid patterns counted by top block (ells, parts), the last
+    # len(row) - restricted gaps, between the top row and the one under it.
+    # Each row under the top lists its top-block partitions once and reads
+    # the chains under it, of the other kind, from ``totals``, a memo of
+    # count_chains.
+    n, groups = 0, Counter()
+    for lower in interlacing_rows(row if restricted else row + (0,)):
+        patterns, overlays = totals[lower, not restricted]
+        n += patterns
         boxes = [box for _, box in gap_block(lower, row)]
         ells = tuple([ell for ell, _ in boxes])
         for parts in itertools.product(*[partitions_in_box(*b) for b in boxes]):
-            groups[ells, parts] += rest
+            groups[ells, parts] += overlays
     return n, groups
 
 
@@ -235,9 +243,9 @@ def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
 def verify_identities(lam: DominantWeight) -> Report:
     """Run every identity the package asserts for one dominant weight and
     report each as ok, fail, or skipped (when the rank is too small for it).
-    Overlaid patterns are counted by box products, never built, each gap
-    block's product and root expansion is computed once per call, and each
-    (row, kind) pattern stream is walked once."""
+    Overlaid patterns are counted by box products, never built: each (row,
+    kind) count is one :func:`count_chains` pass, computed once per call,
+    and lambda's chains are walked once, for the weight check."""
     r = lam.rank
     report = Report(lam)
 
@@ -246,23 +254,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
     # The memos are made afresh on each call, so a long sweep grows none.
-    counts = _Memo(_block_count)
-    walk = _Memo(functools.partial(_top_block_walk, counts=counts))
-    block_roots = _Memo(functools.partial(_block_roots, r))
-    weights_agree = 0
-    weight_witness = None
-
-    def weigh(chain):
-        nonlocal weights_agree, weight_witness
-        w, by_roots = chain_weight(chain), _weight_by_roots(chain, block_roots)
-        if w == by_roots:
-            weights_agree += 1
-        elif weight_witness is None:
-            p = PatternC.from_rows(chain)
-            weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
-
-    # The weight check rides on the top-block walk of lam's stream.
-    walk[lam.lam, False] = _top_block_walk(lam.lam, False, counts, weigh)
+    walk = _Memo(functools.partial(_top_block_walk, totals=_Memo(count_chains)))
     n_patterns = walk[lam.lam, False][0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
@@ -326,6 +318,17 @@ def verify_identities(lam: DominantWeight) -> Report:
         for name in ("weyl-filtration-dimension", "ungraded-restriction-character"):
             report.entries.append(CheckResult(name, "skipped"))
 
-    check("pattern-weight-vs-root-expansion", n_patterns, weights_agree,
+    block_roots = _Memo(functools.partial(_block_roots, r))
+    n_chains = weights_agree = 0
+    weight_witness = None
+    for chain in pattern_chains(lam, False):
+        n_chains += 1
+        w, by_roots = chain_weight(chain), _weight_by_roots(chain, block_roots)
+        if w == by_roots:
+            weights_agree += 1
+        elif weight_witness is None:
+            p = PatternC.from_rows(chain)
+            weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
+    check("pattern-weight-vs-root-expansion", n_chains, weights_agree,
           weight_witness)
     return report

@@ -28,7 +28,13 @@ import operator
 import os
 import sys
 
-from .branching import shtepin_branch_l, shtepin_branch_v, verify_identities, weyl_filtration
+from .branching import (
+    count_chains,
+    shtepin_branch_l,
+    shtepin_branch_v,
+    verify_identities,
+    weyl_filtration,
+)
 # char writes from the dominant part and calls none of character_direct,
 # character_fermionic and character_to_*; perfbench/traced.py wraps these
 # names here.
@@ -47,7 +53,10 @@ from .characters import (  # noqa: F401
     write_text,
 )
 from .oracle import weyl_dim
-from .patterns import (
+# count and dim --check read count_chains and the listings walk
+# pattern_chains; the four enumerate_* names are imported only so that
+# perfbench/traced.py can wrap them under this module's name.
+from .patterns import (  # noqa: F401
     _Memo,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -57,7 +66,7 @@ from .patterns import (
 # The pops and monomials listings render from memos of rows and gap blocks
 # and call none of pop_to_json, pop_monomial and monomial_to_json, which stay
 # the reference for their lines; perfbench/traced.py wraps these names here.
-from .pops import (
+from .pops import (  # noqa: F401
     _BOXES,
     _block_lists,
     _Blocks,
@@ -132,11 +141,9 @@ def cmd_dim(args, parser) -> int:
     if value >= 10 ** MAX_DIGITS:
         parser.error(too_many)
     if args.check:
-        stream = enumerate_patterns(weight) if args.irreducible \
-            else enumerate_pops(weight)
-        counted = sum(1 for _ in stream)
+        counted = count_chains(weight)[0 if args.irreducible else 1]
         if counted != value:
-            print(f"mismatch: formula {value}, enumeration {counted}",
+            print(f"mismatch: formula {value}, sum over rows {counted}",
                   file=sys.stderr)
             return 1
     print(value)
@@ -145,16 +152,10 @@ def cmd_dim(args, parser) -> int:
 
 def cmd_count(args, parser) -> int:
     weight = _resolve_weight(args, parser)
-    counts = {
-        "patterns": sum(1 for _ in enumerate_patterns(weight)),
-        "pops": sum(1 for _ in enumerate_pops(weight)),
-    }
+    counts = dict(zip(("patterns", "pops"), count_chains(weight)))
     if args.restricted:
         eta = weight.lam
-        counts["restricted_patterns"] = sum(
-            1 for _ in enumerate_restricted_patterns(eta))
-        counts["restricted_pops"] = sum(
-            1 for _ in enumerate_restricted_pops(eta))
+        counts["restricted_patterns"], counts["restricted_pops"] = count_chains(eta, True)
         counts["restricted_pop_formula"] = restricted_pop_count_formula(eta)
     counts["pop_formula"] = pop_count_formula(weight)
     if args.format == "json":
@@ -394,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--irreducible", action="store_true",
                    help="dimension of the irreducible module instead")
     p.add_argument("--check", action="store_true",
-                   help="cross-check the formula by enumeration")
+                   help="cross-check the formula against a sum over "
+                        "pattern rows")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("count", help="pattern and overlay counts")

@@ -72,9 +72,9 @@ def _row_name(k: int) -> str:
     return f"{'lambda' if k % 2 else 'eta'}^{k // 2 + 1}"
 
 
-# Read through PatternC.positions (by differences, the Pop serializers and
-# pop_from_json) and by the text pops listing, which reads one (rank, kind)
-# key per command. Bounding the memo frees large ranks.
+# Read through PatternC.positions (by the Pop serializers and pop_from_json)
+# and by the text pops listing, which reads one (rank, kind) key per
+# command. Bounding the memo frees large ranks.
 @functools.lru_cache(maxsize=4)
 def overlay_positions(rank: int, *, restricted: bool = False) -> tuple:
     """Overlay positions (i, j, barred) in word-block order: for each level
@@ -192,20 +192,10 @@ class _Memo(dict):
 
 def differences(p: PatternC) -> dict:
     """Gaps of a valid pattern, (i, j, barred) -> (l, lp) in the order of
-    ``p.positions``; all entries are non-negative. A position's gaps are
-    l = upper_i - lower_i and lp = lower_i - upper_{i+1} (upper_{j+1} = 0),
-    where upper/lower is lam^j/eta^j when barred and eta^{j+1}/lam^j when not.
-    """
-    gaps = {}
-    for pos in p.positions:
-        i, j, barred = pos
-        if barred:
-            upper, lower = p.lambda_rows[j - 1], p.eta_rows[j - 1]
-        else:
-            upper, lower = p.eta_rows[j], p.lambda_rows[j - 1]
-        tail = upper[i] if i < len(upper) else 0
-        gaps[pos] = (upper[i - 1] - lower[i - 1], lower[i - 1] - tail)
-    return gaps
+    ``p.positions``: the :func:`gap_block` of each pair of adjacent rows,
+    bottom-up. All entries are non-negative."""
+    return dict(itertools.chain.from_iterable(
+        itertools.starmap(gap_block, itertools.pairwise(p.rows))))
 
 
 def reconstruct_pattern(bounding: Sequence[int], gaps: dict) -> PatternC:

@@ -16,7 +16,10 @@ from collections import namedtuple
 from math import comb, log10
 from typing import Iterator, Sequence
 
-from .patterns import (
+# The overlay streams walk pattern_chains; enumerate_patterns and
+# enumerate_restricted_patterns are imported only so that perfbench/traced.py
+# can wrap them under this module's name.
+from .patterns import (  # noqa: F401
     PatternC,
     _json_field,
     _json_ints,
@@ -25,6 +28,7 @@ from .patterns import (
     enumerate_restricted_patterns,
     gap_block,
     overlay_positions,  # re-exported as cpops.pops.overlay_positions
+    pattern_chains,
     pattern_from_json,
     pattern_to_json,
     pattern_weight,
@@ -141,25 +145,24 @@ def _block_lists(blocks: _Blocks, rows: tuple) -> list:
         map(blocks.__getitem__, itertools.pairwise(rows))))
 
 
-def _overlays_for(pattern: PatternC, blocks: _Blocks) -> Iterator[Pop]:
-    # Every choice of one partition per position, read from the block memo.
-    for combo in itertools.product(*_block_lists(blocks, pattern.rows)):
-        yield Pop(pattern, combo)
-
-
 def enumerate_pops(bounding) -> Iterator[Pop]:
-    """All overlaid patterns with the given bounding sequence: the pattern
-    stream crossed with every choice of box-fitting partitions."""
+    """All overlaid patterns with the given bounding sequence: each chain of
+    :func:`~cpops.patterns.pattern_chains` crossed with every choice of
+    box-fitting partitions, read from one gap-block memo."""
     blocks = _Blocks(lambda pos, box: _BOXES[box])
-    for pattern in enumerate_patterns(bounding):
-        yield from _overlays_for(pattern, blocks)
+    for rows in pattern_chains(bounding, False):
+        pattern = PatternC.from_rows(rows)
+        for combo in itertools.product(*_block_lists(blocks, rows)):
+            yield Pop(pattern, combo)
 
 
 def enumerate_restricted_pops(bounding) -> Iterator[Pop]:
     """Overlaid restricted patterns bounded by the weakly decreasing input."""
     blocks = _Blocks(lambda pos, box: _BOXES[box])
-    for pattern in enumerate_restricted_patterns(bounding):
-        yield from _overlays_for(pattern, blocks)
+    for rows in pattern_chains(bounding, True):
+        pattern = PatternC.from_rows(rows)
+        for combo in itertools.product(*_block_lists(blocks, rows)):
+            yield Pop(pattern, combo)
 
 
 def _comb0(n: int, k: int) -> int:

@@ -106,25 +106,20 @@ def simple_root(k: int, rank: int) -> WeightVector:
 
 
 def root_vector(label, rank: int) -> WeightVector:
-    """Epsilon-expansion of the positive root labelled (i, j, barred).
-
-    Computed by summing consecutive simple roots: indices i..j for the
-    unbarred root, and i..rank followed by rank-1 down to j for the barred
-    one. The telescoped closed forms are eps_i - eps_{j+1} (unbarred),
-    eps_i + eps_j (barred, i < j), and 2*eps_i (barred, i = j).
+    """Epsilon-expansion of the positive root labelled (i, j, barred):
+    eps_i - eps_{j+1} (unbarred), eps_i + eps_j (barred, i < j) and 2*eps_i
+    (barred, i = j). These are the sums of the consecutive simple roots
+    i..j (unbarred), and i..rank followed by rank-1 down to j (barred).
     """
     i, j, barred = label
     if not 1 <= i <= j <= (rank if barred else rank - 1):
         raise ValueError(f"label {label_text(label)} is no positive root of rank {rank}")
-    if barred:
-        path = list(range(i, rank + 1)) + list(range(rank - 1, j - 1, -1))
-    else:
-        path = list(range(i, j + 1))
     v = [0] * rank
-    for k in path:
-        a = simple_root(k, rank)
-        for t in range(rank):
-            v[t] += a[t]
+    v[i - 1] = 1
+    if barred:
+        v[j - 1] += 1
+    else:
+        v[j] -= 1
     return tuple(v)
 
 

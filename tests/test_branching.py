@@ -188,11 +188,13 @@ VERIFY_FAULTS = {
     "pop-formula-plus-one": (
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
         {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
+    # Restricted counts lose one pattern, with its one overlaid pattern.
     "restricted-patterns-drops-last": (
-        "pattern_chains",
-        lambda f: lambda row, restricted: list(f(row, restricted))[:-1] if restricted
-        else f(row, restricted),
-        {"pop-refinement-by-top-block", "restricted-refinement-by-top-block",
+        "count_chains",
+        lambda f: lambda row, restricted=False: tuple(
+            x - restricted for x in f(row, restricted)),
+        {"pattern-count-vs-weyl-dim", "pop-refinement-by-top-block",
+         "restricted-refinement-by-top-block",
          "irreducible-dim-vs-intermediate-sum",
          "intermediate-dim-vs-irreducible-sum"}),
 }
@@ -213,7 +215,7 @@ def test_verify_identities_reports_each_fault(monkeypatch, fault):
 def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
     def refuse(*args):
         raise AssertionError("an overlaid pattern was built")
-    monkeypatch.setattr(pops, "_overlays_for", refuse)
+    monkeypatch.setattr(pops, "Pop", refuse)
     assert verify_identities(DominantWeight.from_omegas((1, 1, 1))).ok
 
 
@@ -226,10 +228,9 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
     monkeypatch.setattr(branching, "pattern_chains", counted)
     lam = DominantWeight.from_omegas((1, 1, 1))
     assert verify_identities(lam).ok
-    # lam's full stream feeds both the top-block walk and the weight check.
-    assert calls[lam.lam, False] == 1
-    assert {restricted for _, restricted in calls} == {False, True}
-    assert set(calls.values()) == {1}
+    # The counts come from count_chains; only the weight check walks
+    # chains, lam's full stream once.
+    assert calls == {(lam.lam, False): 1}
 
 
 def test_verify_identities_rank4_sweep():

@@ -23,6 +23,7 @@ from cpops.characters import (
     expand_dominant,
 )
 from cpops.patterns import (
+    PatternC,
     enumerate_patterns,
     enumerate_restricted_patterns,
     gap_block,
@@ -31,6 +32,7 @@ from cpops.patterns import (
     pattern_to_json,
 )
 from cpops.pops import (
+    Pop,
     _block_lists,
     _Blocks,
     enumerate_pops,
@@ -241,6 +243,32 @@ def test_count_matches_enumeration(capsys):
     assert counts["patterns"] == 16
     assert counts["pops"] == 20
     assert counts["pop_formula"] == 20
+
+
+def test_counts_build_no_pattern_or_overlaid_pattern(capsys, monkeypatch):
+    # count and dim --check sum over row transitions (count_chains) and
+    # build no PatternC and no Pop.
+    def refuse(*args):
+        raise AssertionError("a pattern record was built")
+    monkeypatch.setattr(PatternC, "__new__", refuse)
+    monkeypatch.setattr(Pop, "__new__", refuse)
+    code, out, err = run_cli(capsys, "count", "--restricted", "--format", "json",
+                             "--omegas", "1,1,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "patterns": 512, "pop_formula": 1176, "pops": 1176,
+        "restricted_patterns": 105, "restricted_pop_formula": 225,
+        "restricted_pops": 225}
+    for flags, value in (((), "1176"), (("--irreducible",), "512")):
+        code, out, err = run_cli(capsys, "dim", "--check", *flags, "--omegas", "1,1,1")
+        assert (code, out, err) == (0, value + "\n", ""), flags
+
+
+def test_dim_check_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_chains", lambda w: (16, 21))
+    code, out, err = run_cli(capsys, "dim", "--check", "--omegas", "1,1")
+    assert (code, out) == (1, "")
+    assert err == "mismatch: formula 20, sum over rows 21\n"
 
 
 def test_patterns_stream_parses_back(capsys):
@@ -487,6 +515,15 @@ def test_pattern_commands_beyond_recursion_depth(capsys):
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1
     code, out, err = run_cli(capsys, "char", "--method", "direct", "--omegas", zeros)
+    assert (code, out, err) == (0, "1\n", "")
+    # count and dim --check go one row at a time too; rank 400 keeps the
+    # chain (800 rows) past the recursion limit and the test fast.
+    zeros = ",".join(["0"] * 400)
+    code, out, err = run_cli(capsys, "count", "--restricted", "--format", "json",
+                             "--omegas", zeros)
+    assert (code, err) == (0, "")
+    assert set(json.loads(out).values()) == {1}
+    code, out, err = run_cli(capsys, "dim", "--check", "--omegas", zeros)
     assert (code, out, err) == (0, "1\n", "")
 
 

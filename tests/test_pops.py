@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cpops.branching import _block_count, _top_block_walk, shtepin_branch_v
+from cpops.branching import _top_block_walk, count_chains, shtepin_branch_v
 from cpops.patterns import (
     PatternC,
     _Memo,
@@ -283,6 +283,21 @@ def test_enumerated_overlays_equal_the_gap_construction():
             enumerate_restricted_patterns(w.lam)), w
 
 
+def test_count_chains_equals_the_listings():
+    # One pass down the rows counts what the pattern and overlay streams
+    # list, full and restricted; the empty row bounds one rank-0 pattern.
+    weights = [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]
+    weights += [DominantWeight.from_omegas((1, 0, 0, 1)),
+                DominantWeight.from_omegas((12,))]
+    for w in weights:
+        assert count_chains(w) == (sum(1 for _ in enumerate_patterns(w)),
+                                   sum(1 for _ in enumerate_pops(w))), w
+        assert count_chains(w.lam, True) == (
+            sum(1 for _ in enumerate_restricted_patterns(w.lam)),
+            sum(1 for _ in enumerate_restricted_pops(w.lam))), w
+    assert count_chains(()) == count_chains((), True) == (1, 1)
+
+
 def test_refinement_by_top_block_small():
     # splitting the overlaid patterns on their top barred block reproduces
     # the admissible block set crossed with restricted enumerations, and the
@@ -298,9 +313,9 @@ def test_refinement_by_top_block_small():
                 expected[(ells, parts)] = sum(
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
-            assert _top_block_walk(w.lam, False, _Memo(_block_count)) == (
+            assert _top_block_walk(w.lam, False, _Memo(count_chains)) == (
                 sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
-                assert _top_block_walk(eta, True, _Memo(_block_count)) == (
+                assert _top_block_walk(eta, True, _Memo(count_chains)) == (
                     sum(1 for _ in enumerate_restricted_patterns(eta)),
                     _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta

@@ -85,23 +85,19 @@ def test_root_label_is_its_tuple():
     assert label_text((2, 3, False)) == "(2,3)"
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", range(1, 9))
 def test_closed_forms_match_telescoped_sums(rank):
-    def eps(i, coeff=1):
-        v = [0] * rank
-        v[i - 1] = coeff
-        return tuple(v)
-
+    # root_vector's closed forms against sums of consecutive simple roots:
+    # i..j for the unbarred label, i..rank then rank-1 down to j for the
+    # barred one.
     for label in positive_root_labels(rank):
-        vec = root_vector(label, rank)
-        i, j = label.i, label.j
-        if not label.barred:
-            expected = tuple(a - b for a, b in zip(eps(i), eps(j + 1)))
-        elif i == j:
-            expected = eps(i, 2)
+        i, j, barred = label
+        if barred:
+            path = list(range(i, rank + 1)) + list(range(rank - 1, j - 1, -1))
         else:
-            expected = tuple(a + b for a, b in zip(eps(i), eps(j)))
-        assert vec == expected, label
+            path = list(range(i, j + 1))
+        path_sum = tuple(map(sum, zip(*(simple_root(k, rank) for k in path))))
+        assert root_vector(label, rank) == path_sum, label
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
