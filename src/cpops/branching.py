@@ -4,10 +4,14 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern: :func:`count_chains` counts the patterns and
-overlaid patterns under each row in one pass down the rows, the top block's
-partitions are listed once per row under the top, and lambda's chains are
-walked once, for the weight check.
+It builds no overlaid pattern and walks no pattern chain: :func:`count_chains`
+counts the patterns and overlaid patterns under each row in one pass down the
+rows, the top block's partitions are listed once per row under the top, and
+the weight check is a pass down lambda's rows that counts chains by their
+running weight difference. The character checks compare dominant parts: each
+graded piece is invariant under signed permutations, so a term or a
+multiplicity at a dominant weight stands for its whole orbit, counted by
+:func:`orbit_size`.
 """
 
 from __future__ import annotations
@@ -19,18 +23,24 @@ from collections import Counter, namedtuple
 from math import comb, prod
 from typing import Optional
 
-from .characters import (
-    GradedCharacter,
+# character_direct and character_fermionic are imported only so that
+# perfbench/traced.py can wrap them under this module's name.
+from .characters import (  # noqa: F401
     character_direct,
     character_fermionic,
-    restrict_drop_last,
-    specialize_q1,
-    total_dim,
+    dominant_character_direct,
+    dominant_character_fermionic,
 )
-from .oracle import freudenthal_character, weyl_dim
-# verify walks pattern_chains; enumerate_patterns and
-# enumerate_restricted_patterns are imported only so that perfbench/traced.py
-# can wrap them under this module's name.
+# freudenthal_character is imported only so that perfbench/traced.py can wrap
+# it under this module's name.
+from .oracle import (  # noqa: F401
+    dominant_freudenthal,
+    freudenthal_character,
+    orbit_size,
+    weyl_dim,
+)
+# enumerate_patterns and enumerate_restricted_patterns are imported only so
+# that perfbench/traced.py can wrap them under this module's name.
 from .patterns import (  # noqa: F401
     PatternC,
     _Memo,
@@ -39,7 +49,6 @@ from .patterns import (  # noqa: F401
     enumerate_restricted_patterns,
     gap_block,
     interlacing_rows,
-    pattern_chains,
     pattern_to_json,
 )
 # enumerate_pops and enumerate_restricted_pops are imported only so that
@@ -199,11 +208,74 @@ def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
     return tuple(acc)
 
 
-def _weight_by_roots(chain: tuple, block_roots: _Memo) -> WeightVector:
-    # The bounding weight minus the gap-weighted sum of positive roots, one
-    # memo vector per gap block; must equal chain_weight(chain).
-    vectors = map(block_roots.__getitem__, itertools.pairwise(chain))
-    return tuple(map(operator.sub, chain[-1], map(sum, zip(*vectors))))
+def _weight_step(rank: int, lower: tuple, upper: tuple) -> WeightVector:
+    # What stepping down from ``upper`` to ``lower`` takes off the running
+    # difference: the gap block's root expansion plus the lower row's share
+    # of chain_weight, 2|eta^j| at a_j for an eta row, -|lam^j| at a_j and
+    # a_{j+1} for a lambda row.
+    acc = list(_block_roots(rank, lower, upper))
+    j, s = len(lower), sum(lower)
+    if j == len(upper):
+        acc[j - 1] += 2 * s
+    else:
+        acc[j - 1] -= s
+        acc[j] -= s
+    return tuple(acc)
+
+
+def _weight_walk(lam: tuple) -> tuple:
+    # Lambda's full chains, counted by their weight difference d = lam minus
+    # the root expansions of the gap blocks minus chain_weight, in one pass
+    # down the rows keyed (row, d so far), each step read from a memo of
+    # _weight_step. Returns (chains, chains with d = 0, witness), the witness
+    # None or one chain with d != 0, rebuilt from the first (row, d) key that
+    # reached each key.
+    r = len(lam)
+    steps = _Memo(functools.partial(_weight_step, r))
+    start = (lam, lam[:-1] + (lam[-1] + sum(lam),))  # lam^r adds -|lam| at a_r
+    level, parents = {start: 1}, []
+    for k in range(2 * r - 1, 0, -1):
+        below, back = {}, {}
+        for key, n in level.items():
+            row, d = key
+            for lower in interlacing_rows(row + (0,) if k % 2 else row):
+                child = (lower, tuple(map(operator.sub, d, steps[lower, row])))
+                if child in below:
+                    below[child] += n
+                else:
+                    below[child], back[child] = n, key
+        level = below
+        parents.append(back)
+    total = sum(level.values())
+    agree = sum(n for (_, d), n in level.items() if not any(d))
+    if agree == total:
+        return total, agree, None
+    key = next(key for key in level if any(key[1]))
+    d, chain = key[1], [key[0]]
+    for back in reversed(parents):
+        key = back[key]
+        chain.append(key[0])
+    w = chain_weight(chain)
+    return total, agree, (f"pattern {pattern_to_json(PatternC.from_rows(chain))}: "
+                          f"{w} vs {tuple(map(operator.add, w, d))}")
+
+
+def _orbit_sum(items) -> int:
+    # The total of an orbit expansion, from (dominant weight, mult) pairs.
+    return sum(m * orbit_size(mu) for mu, m in items)
+
+
+def _restricted_at_q1(terms: dict) -> Counter:
+    # The dominant part, at q = 1, of the restriction to the first r - 1
+    # coordinates of the character whose dominant terms are ``terms``: the
+    # images in mu's orbit that end in +-c, for each distinct value c of mu,
+    # put mult * (2 if c else 1) at mu with one c removed.
+    out = Counter()
+    for (_, mu), m in terms.items():
+        for i, c in enumerate(mu):
+            if not i or mu[i - 1] != c:
+                out[mu[:i] + mu[i + 1:]] += m * (2 if c else 1)
+    return out
 
 
 def _top_block_walk(row: tuple, restricted: bool, totals: _Memo) -> tuple:
@@ -245,7 +317,9 @@ def verify_identities(lam: DominantWeight) -> Report:
     report each as ok, fail, or skipped (when the rank is too small for it).
     Overlaid patterns are counted by box products, never built: each (row,
     kind) count is one :func:`count_chains` pass, computed once per call,
-    and lambda's chains are walked once, for the weight check."""
+    and the weight check counts lambda's chains in one pass down its rows.
+    Characters are compared on their dominant parts; every total is that of
+    the orbit expansion, which is never built."""
     r = lam.rank
     report = Report(lam)
 
@@ -259,18 +333,20 @@ def verify_identities(lam: DominantWeight) -> Report:
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
     # The direct character counts every overlaid pattern once.
-    direct = character_direct(lam)
+    direct = dominant_character_direct(lam).terms
     formula = pop_count_formula(lam)
-    check("pop-count-vs-product-formula", total_dim(direct), formula)
+    check("pop-count-vs-product-formula",
+          _orbit_sum((mu, m) for (_, mu), m in direct.items()), formula)
 
-    fermionic = character_fermionic(lam)
-    check("character-direct-vs-fermionic", len(direct.terms),
-          len(fermionic.terms), _diff_witness(direct.terms, fermionic.terms, "term"))
+    fermionic = dominant_character_fermionic(lam).terms
+    check("character-direct-vs-fermionic", _orbit_sum((mu, 1) for _, mu in direct),
+          _orbit_sum((mu, 1) for _, mu in fermionic),
+          _diff_witness(direct, fermionic, "term"))
 
-    zero_slice = direct.grade_slice(0)
-    table = freudenthal_character(lam)
-    check("zeroth-piece-vs-freudenthal", sum(zero_slice.values()),
-          sum(table.values()), _diff_witness(zero_slice, table, "weight"))
+    zero_slice = {mu: m for (grade, mu), m in direct.items() if grade == 0}
+    table = dominant_freudenthal(lam)
+    check("zeroth-piece-vs-freudenthal", _orbit_sum(zero_slice.items()),
+          _orbit_sum(table.items()), _diff_witness(zero_slice, table, "weight"))
 
     check("pop-refinement-by-top-block", *_refinement_by_top_block(walk, lam, False))
 
@@ -304,31 +380,19 @@ def verify_identities(lam: DominantWeight) -> Report:
         booked = sum(term.mult * pop_count_formula(term.target) for term in terms)
         check("weyl-filtration-dimension", booked, formula)
 
-        lhs = restrict_drop_last(specialize_q1(direct))
-        rhs = GradedCharacter(r - 1)
-        cache = {}
+        lhs = _restricted_at_q1(direct)
+        by_target = Counter()
         for term in terms:
-            if term.target not in cache:
-                cache[term.target] = specialize_q1(
-                    character_direct(DominantWeight(term.target)))
-            rhs.merge(cache[term.target], scale=term.mult)
-        check("ungraded-restriction-character", total_dim(lhs), total_dim(rhs),
-              _diff_witness(lhs.terms, rhs.terms, "term"))
+            by_target[term.target] += term.mult
+        rhs = Counter()
+        for target, mult in by_target.items():
+            for (_, mu), m in dominant_character_direct(DominantWeight(target)).terms.items():
+                rhs[mu] += mult * m
+        check("ungraded-restriction-character", _orbit_sum(lhs.items()),
+              _orbit_sum(rhs.items()), _diff_witness(lhs, rhs, "weight"))
     else:
         for name in ("weyl-filtration-dimension", "ungraded-restriction-character"):
             report.entries.append(CheckResult(name, "skipped"))
 
-    block_roots = _Memo(functools.partial(_block_roots, r))
-    n_chains = weights_agree = 0
-    weight_witness = None
-    for chain in pattern_chains(lam, False):
-        n_chains += 1
-        w, by_roots = chain_weight(chain), _weight_by_roots(chain, block_roots)
-        if w == by_roots:
-            weights_agree += 1
-        elif weight_witness is None:
-            p = PatternC.from_rows(chain)
-            weight_witness = f"pattern {pattern_to_json(p)}: {w} vs {by_roots}"
-    check("pattern-weight-vs-root-expansion", n_chains, weights_agree,
-          weight_witness)
+    check("pattern-weight-vs-root-expansion", *_weight_walk(lam.lam))
     return report

@@ -86,8 +86,9 @@ from .rootsys import DominantWeight, label_text, sweep_dominant_weights
 MAX_DIGITS = 4300
 
 # `verify --rank R --max-total T` refuses sweeps of more weight coordinates
-# (rank times weights) than this: at about 6 ms per rank-3 weight, a third of
-# that many weights takes over half an hour.
+# (rank times weights) than this: at about 3.5 ms per weight of the rank-3
+# sweep to total 3 (2-core x86 host), a third of that many weights takes
+# about 20 minutes, and larger weights take longer.
 MAX_SWEEP = 10 ** 6
 
 MONOMIAL_GRAMMAR = (

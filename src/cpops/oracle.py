@@ -3,14 +3,17 @@
 Everything here is derived from the root system alone, with exact integer
 arithmetic, so it can sit in judgement over the combinatorial enumeration.
 Weight multiplicities of an irreducible module are computed by Freudenthal's
-recursion, walking the dominant weights under the highest weight in an order
-compatible with dominance and closing each one under the signed-permutation
-group at the end.
+recursion on the dominant weights under the highest weight, walked in an order
+compatible with dominance (:func:`dominant_freudenthal`);
+:func:`freudenthal_character` closes them under the signed-permutation group,
+and :func:`orbit_size` counts an orbit without listing it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import factorial
 from typing import Sequence
 
 from .rootsys import DominantWeight, inner, positive_roots
@@ -56,6 +59,16 @@ def signed_orbit(weight: Sequence[int]) -> set:
     return out
 
 
+def orbit_size(weight: Sequence[int]) -> int:
+    """The size of a weight's signed-permutation orbit, len(signed_orbit(mu)):
+    r! over the factorials of each value's copy count among the absolute
+    values, times 2 per non-zero coordinate."""
+    size = factorial(len(weight)) << sum(1 for x in weight if x)
+    for copies in Counter(map(abs, weight)).values():
+        size //= factorial(copies)
+    return size
+
+
 def positive_root_coordinates(vec: Sequence[int]):
     """Coefficients (c_1..c_r) of ``vec`` in the simple-root basis, or None
     when some coefficient is negative or non-integral."""
@@ -93,11 +106,11 @@ def dominant_weights_below(lam: DominantWeight) -> list:
     return [mu for _, _, mu in found]
 
 
-def freudenthal_character(lam: DominantWeight) -> dict:
-    """Weight -> multiplicity map of the irreducible module of highest
-    weight ``lam``, closed under the signed-permutation group of the
-    epsilon-coordinates. Computed by Freudenthal's recursion, seeded with
-    multiplicity 1 at the top; the total equals :func:`weyl_dim`."""
+def dominant_freudenthal(lam: DominantWeight) -> dict:
+    """Dominant weight -> multiplicity map of the irreducible module of
+    highest weight ``lam``, by Freudenthal's recursion seeded with
+    multiplicity 1 at the top; weights of multiplicity 0 are left out. The
+    sum of multiplicity times :func:`orbit_size` equals :func:`weyl_dim`."""
     r = lam.rank
     top = lam.lam
     rho = _rho(r)
@@ -132,9 +145,13 @@ def freudenthal_character(lam: DominantWeight) -> dict:
         value = numerator // denominator
         if value:
             mults[mu] = value
+    return mults
 
-    table = {}
-    for mu, m in mults.items():
-        for w in signed_orbit(mu):
-            table[w] = m
-    return table
+
+def freudenthal_character(lam: DominantWeight) -> dict:
+    """Weight -> multiplicity map of the irreducible module of highest
+    weight ``lam``: :func:`dominant_freudenthal` closed under the
+    signed-permutation group of the epsilon-coordinates. The total equals
+    :func:`weyl_dim`."""
+    return {w: m for mu, m in dominant_freudenthal(lam).items()
+            for w in signed_orbit(mu)}

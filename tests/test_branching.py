@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cpops import branching, pops
+from cpops import branching, characters, oracle, patterns, pops
 from cpops.branching import (
     FiltrationTerm,
     shtepin_branch_l,
@@ -10,9 +10,23 @@ from cpops.branching import (
     verify_identities,
     weyl_filtration,
 )
-from cpops.patterns import enumerate_patterns, enumerate_restricted_patterns
+from cpops.characters import (
+    character_direct,
+    dominant_character_direct,
+    restrict_drop_last,
+    specialize_q1,
+)
+from cpops.patterns import (
+    PatternC,
+    chain_weight,
+    differences,
+    enumerate_patterns,
+    enumerate_restricted_patterns,
+    pattern_chains,
+    pattern_to_json,
+)
 from cpops.pops import pop_count_formula
-from cpops.rootsys import DominantWeight, sweep_dominant_weights
+from cpops.rootsys import DominantWeight, root_vector, sweep_dominant_weights
 
 
 def count_patterns(lam_tuple):
@@ -166,16 +180,19 @@ VERIFY_FAULTS = {
     "weyl-dim-zero": (
         "weyl_dim", lambda f: lambda lam: 0, {"pattern-count-vs-weyl-dim"}),
     "fermionic-extra-term": (
-        "character_fermionic",
+        "dominant_character_fermionic",
         lambda f: _after(f, lambda ch: ch.add_term(99, (0,) * ch.rank)),
         {"character-direct-vs-fermionic"}),
     "fermionic-mult-plus-one": (
-        "character_fermionic",
+        "dominant_character_fermionic",
         lambda f: _after(f, lambda ch: ch.add_term(*min(ch.terms))),
         {"character-direct-vs-fermionic"}),
     "freudenthal-moved-one": (
-        "freudenthal_character", lambda f: _after(f, _move_one),
+        "dominant_freudenthal", lambda f: _after(f, _move_one),
         {"zeroth-piece-vs-freudenthal"}),
+    "restriction-moved-one": (
+        "_restricted_at_q1", lambda f: _after(f, _move_one),
+        {"ungraded-restriction-character"}),
     "weight-by-roots-zero": (
         "_block_roots", lambda f: lambda rank, lower, upper: (0,) * rank,
         {"pattern-weight-vs-root-expansion"}),
@@ -200,6 +217,10 @@ VERIFY_FAULTS = {
 }
 
 
+MAP_CHECKS = {"character-direct-vs-fermionic", "zeroth-piece-vs-freudenthal",
+              "ungraded-restriction-character", "pattern-weight-vs-root-expansion"}
+
+
 @pytest.mark.parametrize("fault", sorted(VERIFY_FAULTS))
 def test_verify_identities_reports_each_fault(monkeypatch, fault):
     name, make_faulty, failing = VERIFY_FAULTS[fault]
@@ -208,8 +229,9 @@ def test_verify_identities_reports_each_fault(monkeypatch, fault):
     assert report.ok is False
     failed = [e for e in report.entries if e.status == "fail"]
     assert {e.check for e in failed} == failing
-    # Equal summaries with different maps fail through the witness alone.
-    assert all(e.witness for e in failed if e.lhs == e.rhs)
+    # Equal summaries with different maps fail through the witness alone,
+    # and a check that compares maps names where they differ.
+    assert all(e.witness for e in failed if e.lhs == e.rhs or e.check in MAP_CHECKS)
 
 
 def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
@@ -220,20 +242,100 @@ def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
 
 
 def test_verify_identities_walks_each_stream_once(monkeypatch):
-    calls = Counter()
+    passes, chains = Counter(), Counter()
 
-    def counted(row, restricted, chains=branching.pattern_chains):
-        calls[tuple(row), restricted] += 1
-        return chains(row, restricted)
-    monkeypatch.setattr(branching, "pattern_chains", counted)
+    def counted(row, restricted=False, count=branching.count_chains):
+        passes[tuple(row), restricted] += 1
+        return count(row, restricted)
+
+    def walked(row, restricted, walk=patterns.pattern_chains):
+        chains[tuple(row), restricted] += 1
+        return walk(row, restricted)
+    monkeypatch.setattr(branching, "count_chains", counted)
+    monkeypatch.setattr(patterns, "pattern_chains", walked)
     lam = DominantWeight.from_omegas((1, 1, 1))
     assert verify_identities(lam).ok
-    # The counts come from count_chains; only the weight check walks
-    # chains, lam's full stream once.
-    assert calls == {(lam.lam, False): 1}
+    # Each (row, kind) count is one count_chains pass, and no check walks
+    # a pattern chain, not even the weight check.
+    assert passes and set(passes.values()) == {1}
+    assert not chains
+
+
+def test_verify_identities_expands_no_character(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify expanded a character")
+    for owner, name in [(characters, "expand_dominant"), (characters, "specialize_q1"),
+                        (characters, "restrict_drop_last"), (oracle, "signed_orbit"),
+                        (characters, "character_direct"), (branching, "character_direct"),
+                        (characters, "character_fermionic"),
+                        (branching, "character_fermionic")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for w in sweep_dominant_weights(3, 2):
+        assert verify_identities(w).ok
+
+
+def _reference_weight_check(lam, pair, delta):
+    # Lambda's chains walked one by one: their number, the number that pass
+    # the weight check and the witnesses of those that fail. The root
+    # expansion sums ell * root_vector over the differences, plus ``delta``
+    # when the chain holds the adjacent rows ``pair``.
+    r = lam.rank
+    total = agree = 0
+    rejected = set()
+    for chain in pattern_chains(lam, False):
+        total += 1
+        p = PatternC.from_rows(chain)
+        roots = [delta[t] if pair in zip(chain, chain[1:]) else 0 for t in range(r)]
+        for pos, (ell, _) in differences(p).items():
+            for t, x in enumerate(root_vector(pos, r)):
+                roots[t] += ell * x
+        w, by_roots = chain_weight(chain), tuple(a - b for a, b in zip(lam.lam, roots))
+        if w == by_roots:
+            agree += 1
+        else:
+            rejected.add(f"pattern {pattern_to_json(p)}: {w} vs {by_roots}")
+    return total, agree, rejected
+
+
+def test_weight_check_one_corrupted_block(monkeypatch):
+    # One row pair, lam^1 = (1,) under eta^2 = (2, 0), gets a wrong root
+    # expansion: the chains through it, and only those, must fail.
+    lam = DominantWeight.from_omegas((1, 1))
+    pair, delta = ((1,), (2, 0)), (1, 0)
+    total, agree, rejected = _reference_weight_check(lam, pair, delta)
+    assert 0 < agree < total
+
+    def corrupt(rank, lower, upper, true=branching._block_roots):
+        roots = true(rank, lower, upper)
+        if (lower, upper) == pair:
+            roots = tuple(a + b for a, b in zip(roots, delta))
+        return roots
+    monkeypatch.setattr(branching, "_block_roots", corrupt)
+    report = verify_identities(lam)
+    failed = [e for e in report.entries if e.status == "fail"]
+    assert [e.check for e in failed] == ["pattern-weight-vs-root-expansion"]
+    entry = failed[0]
+    assert (entry.lhs, entry.rhs) == (total, agree)
+    assert entry.witness in rejected
+
+
+def test_dominant_restriction_matches_the_full_restriction():
+    for r in (2, 3, 4):
+        for w in sweep_dominant_weights(r, 3):
+            full = restrict_drop_last(specialize_q1(character_direct(w))).terms
+            dominant = {(0, mu): m for (_, mu), m in full.items()
+                        if list(mu) == sorted(map(abs, mu), reverse=True)}
+            rule = branching._restricted_at_q1(dominant_character_direct(w).terms)
+            assert {(0, mu): m for mu, m in rule.items()} == dominant, w
 
 
 def test_verify_identities_rank4_sweep():
     for w in sweep_dominant_weights(4, 2):
+        report = verify_identities(w)
+        assert report.ok, report.to_text()
+
+
+def test_verify_identities_rank5_sweep():
+    for w in sweep_dominant_weights(5, 2):
         report = verify_identities(w)
         assert report.ok, report.to_text()

@@ -5,10 +5,12 @@ from math import comb, factorial
 import pytest
 
 from cpops.oracle import (
+    dominant_freudenthal,
     dominant_rep,
     dominant_weights_below,
     freudenthal_character,
     in_positive_root_lattice,
+    orbit_size,
     signed_orbit,
     weyl_dim,
 )
@@ -96,6 +98,21 @@ def test_freudenthal_matches_pattern_weight_multiset():
         for w in sweep_dominant_weights(r, 2):
             counted = Counter(pattern_weight(p) for p in enumerate_patterns(w))
             assert dict(counted) == freudenthal_character(w), w
+
+
+def test_dominant_freudenthal_closes_to_the_weights_of_patterns():
+    for r in (1, 2, 3):
+        for w in sweep_dominant_weights(r, 3):
+            mults = dominant_freudenthal(w)
+            counted = Counter(pattern_weight(p) for p in enumerate_patterns(w))
+            assert {x: m for mu, m in mults.items() for x in signed_orbit(mu)} == counted, w
+            assert sum(m * orbit_size(mu) for mu, m in mults.items()) == weyl_dim(w), w
+
+
+def test_orbit_size_matches_signed_orbit():
+    for r in range(1, 6):
+        for w in sweep_dominant_weights(r, 3):
+            assert orbit_size(w.lam) == len(signed_orbit(w.lam)), w
 
 
 def _signed_permutation_images(weight):
