@@ -21,7 +21,6 @@ import itertools
 import operator
 from collections import Counter, namedtuple
 from math import comb, prod
-from typing import Optional
 
 # character_direct and character_fermionic are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
@@ -166,7 +165,7 @@ class Report:
         return "\n".join(lines)
 
 
-def _diff_witness(a: dict, b: dict, label: str) -> Optional[str]:
+def _diff_witness(a: dict, b: dict, label: str) -> str | None:
     # The first sorted key where the two maps differ, or None when equal.
     for key in sorted(set(a) | set(b)):
         if a.get(key) != b.get(key):

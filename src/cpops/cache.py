@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .characters import GradedCharacter, character_from_json, character_to_json
 
@@ -42,7 +42,7 @@ def _entry_path(cache_dir: str, key: str) -> str:
 
 def cache_lookup(
     cache_dir: str, rank: int, lam: Sequence[int], method: str
-) -> Optional[GradedCharacter]:
+) -> GradedCharacter | None:
     """Return the cached character for the key, or None on any miss."""
     path = _entry_path(cache_dir, cache_key(rank, lam, method))
     if not os.path.exists(path):

@@ -32,8 +32,8 @@ to the lattice sum, so it converges term for term to the direct count.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from . import oracle
 from .patterns import _json_field, _json_ints, _Memo, interlacing_rows

@@ -16,14 +16,14 @@ orbit once; the full character is never built. Exit status is 0 on
 success, 1 when a requested check fails, 2 on usage errors (a --max-total
 too large to sweep and a dimension too long to print among them), 3 on an
 internal error (one stderr line, no traceback), 141 when the reader closes
-stdout early.
+stdout early. A command's process ends right after stdout and stderr are
+flushed, without interpreter teardown, so no `atexit` hook runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import operator
 import os
 import sys
@@ -152,6 +152,8 @@ def cmd_dim(args, parser) -> int:
 
 
 def cmd_count(args, parser) -> int:
+    import json  # only count, branch and verify use it: not on every start-up
+
     weight = _resolve_weight(args, parser)
     counts = dict(zip(("patterns", "pops"), count_chains(weight)))
     if args.restricted:
@@ -168,6 +170,8 @@ def cmd_count(args, parser) -> int:
 
 
 def _print_stream(items, to_json, to_text, fmt: str) -> None:
+    import json
+
     for item in items:
         if fmt == "json":
             print(json.dumps(to_json(item), sort_keys=True))
@@ -373,6 +377,8 @@ def cmd_verify(args, parser) -> int:
         weights = list(sweep_dominant_weights(args.rank, args.max_total))
     reports = [verify_identities(w) for w in weights]
     if args.format == "json":
+        import json
+
         print(json.dumps([r.to_json() for r in reports]))
     else:
         for report in reports:
@@ -463,8 +469,9 @@ def main(argv=None) -> int:
         code = args.func(args, parser)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout. Point it at devnull so the interpreter's
-        # final flush cannot raise again, and exit as SIGPIPE would (128 + 13).
+        # The reader closed stdout. Point it at devnull so a later flush (run's,
+        # or the interpreter's at exit) cannot raise again, and exit as SIGPIPE
+        # would (128 + 13).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception as exc:
@@ -475,5 +482,23 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> None:
+    """The `cpops` program: main's status as the exit status, with stdout and
+    stderr flushed and no interpreter teardown."""
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # its file descriptor was closed at start-up
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            # A reader that closed the pipe gets nothing more, and main's
+            # status stands.
+            pass
+    # Teardown runs GC passes over every module and frees each object, 9 to
+    # 14 ms per run on a 2-core x86 host, for a process that is done.
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

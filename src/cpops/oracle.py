@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from math import factorial
-from typing import Sequence
 
 from .rootsys import DominantWeight, inner, positive_roots
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .rootsys import WeightVector, lambda_tuple
 

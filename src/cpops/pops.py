@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from math import comb, log10
-from typing import Iterator, Sequence
 
 # The overlay streams walk pattern_chains; enumerate_patterns and
 # enumerate_restricted_patterns are imported only so that perfbench/traced.py

@@ -10,7 +10,7 @@ fundamental-weight multiplicities (m_1, ..., m_r), which it derives.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 # A weight in epsilon-coordinates: tuple of `rank` signed integers.
 WeightVector = tuple

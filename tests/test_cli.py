@@ -208,15 +208,19 @@ def test_dim_prints_4300_digits(capsys):
     assert len(out) == 4301
 
 
+def _child_env() -> dict:
+    # The environment of a child interpreter that imports this checkout's cpops.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _close_stdout_early(argv, read) -> tuple:
     # Start the CLI, read from its stdout with ``read``, close the pipe and
     # return the exit status and stderr.
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cpops.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path))
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert read(proc.stdout)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -233,6 +237,44 @@ def test_char_closed_stdout_exits_141_quietly():
     # reader's early close always reaches a write.
     argv = ["char", "--format", "json", "--omegas", "2,2,1"]
     assert _close_stdout_early(argv, lambda out: out.read(1) == b"{") == (141, b"")
+
+
+@pytest.mark.parametrize("setup, argv, expected", [
+    # Teardown is skipped, so an atexit hook never runs.
+    ("import atexit\natexit.register(print, 'atexit hook ran', file=sys.stderr)",
+     ["dim", "--omegas", "1,1"], (0, "20\n", "")),
+    ("from cpops.characters import GradedCharacter\n"
+     "cli.dominant_character_fermionic = lambda weight: GradedCharacter(weight.rank)",
+     ["char", "--method", "both", "--omegas", "1,1"],
+     (1, "", "character mismatch between direct and fermionic methods\n")),
+    # main does not flush stdout on an internal error; run writes the line
+    # that was printed before it.
+    ("def rows(lam):\n    yield (1, 0)\n    raise RuntimeError('no\\n  row')\n"
+     "cli.shtepin_branch_l = rows",
+     ["branch", "--kind", "shtepin-l", "--format", "json", "--lambdas", "1,0"],
+     (3, "[1, 0]\n", "cpops: internal error: RuntimeError: no row\n")),
+], ids=["ok", "mismatch", "internal-error"])
+def test_run_exits_with_mains_status(setup, argv, expected):
+    script = (f"import sys\nfrom cpops import cli\n{setup}\n"
+              f"cli.run({argv!r})\nprint('run returned')")
+    # stdout block-buffered, as in a plain run, so that only run's own flush
+    # writes what main left in the buffer.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_run_writes_what_main_writes(capsys):
+    # 121 KB of JSON, more than a pipe holds, through python -m cpops.cli.
+    argv = ["char", "--format", "json", "--omegas", "2,2,1"]
+    proc = subprocess.run([sys.executable, "-m", "cpops.cli", *argv],
+                          capture_output=True, env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+    assert len(proc.stdout) > 1 << 16
 
 
 def test_count_matches_enumeration(capsys):
@@ -527,14 +569,19 @@ def test_pattern_commands_beyond_recursion_depth(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
-def test_import_needs_no_dataclasses():
+def test_import_needs_no_dataclasses_typing_or_json():
     # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of
-    # every CLI start-up; the records are namedtuples instead.
+    # every CLI start-up; the records are namedtuples instead. Annotations
+    # are strings and name collections.abc types, so typing is not needed
+    # (about 5 ms); json is imported only by the commands that call it. -S
+    # keeps a site hook from loading any of these before cpops.
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (f"import sys; sys.path.insert(0, {src!r}); import cpops.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, timeout=120).stdout
+              "print(sorted({'dataclasses', 'inspect', 'json', 'typing'}"
+              " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-E", "-c", script],
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
     assert out == "[]\n"
 
 
