@@ -67,12 +67,12 @@ from .patterns import (  # noqa: F401
 # and call none of pop_to_json, pop_monomial and monomial_to_json, which stay
 # the reference for their lines; perfbench/traced.py wraps these names here.
 from .pops import (  # noqa: F401
-    _BOXES,
     _block_lists,
     _Blocks,
     enumerate_pops,
     enumerate_restricted_pops,
     monomial_to_json,
+    partitions_in_box,
     pop_count_formula,
     pop_count_log10,
     pop_monomial,
@@ -236,24 +236,26 @@ def _position_json(pos) -> str:
 
 # A slot is the text of one gap position under one partition of its box; a
 # listing line joins one slot per position. Each format renders a position's
-# slots, one per partition in _BOXES order, from (position, box), for a
-# pops._Blocks memo that the command makes.
+# slots, one per partition in partitions_in_box order, from (position, box),
+# for a pops._Blocks memo that the command makes.
 
 def _pops_json_slots(pos, box) -> list:
     prefix = f'{{{_position_json(pos)}, "parts": '
-    return [f"{prefix}[{', '.join(map(str, parts))}]}}" for parts in _BOXES[box]]
+    return [f"{prefix}[{', '.join(map(str, parts))}]}}"
+            for parts in partitions_in_box(*box)]
 
 
 def _pops_text_slots(pos, box) -> list:
     # The overlays as one JSON object keyed by label: each slot starts with
     # its quoted label.
     key = f'"{label_text(pos)}": '
-    return [key + "[" + ", ".join(map(str, parts)) + "]" for parts in _BOXES[box]]
+    return [key + "[" + ", ".join(map(str, parts)) + "]"
+            for parts in partitions_in_box(*box)]
 
 
 def _word_slots(by_t: list, box, sep: str) -> list:
     # A partition's factors, one per part t, joined.
-    return [sep.join(map(by_t.__getitem__, parts)) for parts in _BOXES[box]]
+    return [sep.join(map(by_t.__getitem__, parts)) for parts in partitions_in_box(*box)]
 
 
 def _words_text_slots(pos, box) -> list:
@@ -268,7 +270,7 @@ def _words_json_slots(pos, box) -> list:
 
 def _words_degrees(pos, box) -> list:
     # The t-degree of each partition, in the same order as the word slots.
-    return list(map(sum, _BOXES[box]))
+    return list(map(sum, partitions_in_box(*box)))
 
 
 def cmd_pops(args, parser) -> int:

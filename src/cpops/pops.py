@@ -48,28 +48,12 @@ Partition = tuple
 FPair = tuple
 
 
-class _BoxMemo(dict):
-    # Partition tuples keyed by box (ell, ellp). Only boxes of at most 64
-    # partitions are kept: every pattern asks for the same few small boxes,
-    # and keeping the large ones would grow the memo without bound.
-    def __missing__(self, box):
-        ell, ellp = box
-        if ell < 0 or ellp < 0:
-            raise ValueError("box sides must be non-negative")
-        parts = tuple(itertools.combinations_with_replacement(range(ellp + 1), ell))
-        if len(parts) <= 64:
-            self[box] = parts
-        return parts
-
-
-_BOXES = _BoxMemo()
-
-
 def partitions_in_box(ell: int, ellp: int) -> tuple:
     """Weakly increasing tuples of length ``ell`` with parts at most ``ellp``,
-    in lexicographic order; there are comb(ell + ellp, ell) of them. Boxes
-    of at most 64 partitions are memoized."""
-    return _BOXES[ell, ellp]
+    in lexicographic order; there are comb(ell + ellp, ell) of them."""
+    if ell < 0 or ellp < 0:
+        raise ValueError("box sides must be non-negative")
+    return tuple(itertools.combinations_with_replacement(range(ellp + 1), ell))
 
 
 def fits_box(parts: Partition, ell: int, ellp: int) -> bool:
@@ -121,19 +105,19 @@ class PbwMonomial(namedtuple("PbwMonomial", "factors")):
 class _Blocks(dict):
     # The gap blocks of pattern chains, keyed by the block's two rows (lower,
     # upper): one list per position of their `gap_block`, ``render(position,
-    # box)``, with one entry per partition of the box in _BOXES order. With
-    # ``words`` the positions of boxes with no part (ell = 0) are dropped:
-    # their one partition gives no factor of a word. Every renderer reads
-    # its box from _BOXES, and a block is kept only when _BOXES keeps each of
-    # its boxes, so the memo grows with the small boxes alone.
+    # box)``, with one entry per partition of the box in partitions_in_box
+    # order. With ``words`` the positions of boxes with no part (ell = 0) are
+    # dropped: their one partition gives no factor of a word. A block is kept
+    # only when each of its lists has at most 64 entries, so the memo grows
+    # with the small boxes alone.
     def __init__(self, render, words: bool = False):
         super().__init__()
         self.render, self.words = render, words
 
     def __missing__(self, rows):
-        gaps = [(pos, box) for pos, box in gap_block(*rows) if box[0] or not self.words]
-        block = tuple([self.render(pos, box) for pos, box in gaps])
-        if all(box in _BOXES for _, box in gaps):
+        block = tuple([self.render(pos, box) for pos, box in gap_block(*rows)
+                       if box[0] or not self.words])
+        if all(len(slots) <= 64 for slots in block):
             self[rows] = block
         return block
 
@@ -145,33 +129,32 @@ def _block_lists(blocks: _Blocks, rows: tuple) -> list:
         map(blocks.__getitem__, itertools.pairwise(rows))))
 
 
+def _overlaid(bounding, restricted: bool) -> Iterator[Pop]:
+    # Each chain crossed with every choice of box-fitting partitions, read
+    # from one gap-block memo.
+    blocks = _Blocks(lambda pos, box: partitions_in_box(*box))
+    for rows in pattern_chains(bounding, restricted):
+        pattern = PatternC.from_rows(rows)
+        for combo in itertools.product(*_block_lists(blocks, rows)):
+            yield Pop(pattern, combo)
+
+
 def enumerate_pops(bounding) -> Iterator[Pop]:
     """All overlaid patterns with the given bounding sequence: each chain of
     :func:`~cpops.patterns.pattern_chains` crossed with every choice of
     box-fitting partitions, read from one gap-block memo."""
-    blocks = _Blocks(lambda pos, box: _BOXES[box])
-    for rows in pattern_chains(bounding, False):
-        pattern = PatternC.from_rows(rows)
-        for combo in itertools.product(*_block_lists(blocks, rows)):
-            yield Pop(pattern, combo)
+    return _overlaid(bounding, False)
 
 
 def enumerate_restricted_pops(bounding) -> Iterator[Pop]:
     """Overlaid restricted patterns bounded by the weakly decreasing input."""
-    blocks = _Blocks(lambda pos, box: _BOXES[box])
-    for rows in pattern_chains(bounding, True):
-        pattern = PatternC.from_rows(rows)
-        for combo in itertools.product(*_block_lists(blocks, rows)):
-            yield Pop(pattern, combo)
-
-
-def _comb0(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
+    return _overlaid(bounding, True)
 
 
 def _count_factors(n: int, omegas: Sequence[int]) -> list:
-    # (comb(n, i) - comb(n, i-2), omegas_i) for each i.
-    return [(_comb0(n, i) - _comb0(n, i - 2), m) for i, m in enumerate(omegas, start=1)]
+    # (comb(n, i) - comb(n, i-2), omegas_i) for each i; comb(n, -1) is 0.
+    return [(comb(n, i) - (comb(n, i - 2) if i > 1 else 0), m)
+            for i, m in enumerate(omegas, start=1)]
 
 
 def _count_product(n: int, omegas: Sequence[int]) -> int:

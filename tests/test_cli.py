@@ -38,6 +38,7 @@ from cpops.pops import (
     enumerate_pops,
     enumerate_restricted_pops,
     monomial_to_json,
+    partitions_in_box,
     pop_from_json,
     pop_monomial,
     pop_to_json,
@@ -620,18 +621,39 @@ def test_char_peak_does_not_grow_with_output():
 
 def test_rendered_partitions_keep_only_small_boxes(capsys):
     # Rank 1, 12 omega_1: boxes of up to comb(12, 6) = 924 partitions. The
-    # gap blocks, like the partitions themselves, are kept only when every
-    # box of the block holds at most 64 partitions.
-    for argv in (["pops", "--omegas", "12"], ["pops", "--format", "text", "--omegas", "12"],
-                 ["monomials", "--omegas", "12"],
-                 ["monomials", "--format", "json", "--omegas", "12"]):
-        assert cli.main(argv) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2 ** 12, argv
+    # gap blocks are kept only when every box of the block holds at most 64
+    # partitions; the lines of the other blocks are pinned to their stdout
+    # digests from when the partitions of each small box were memoized too.
+    digests = {
+        "pops --omegas 12":
+            "da247c8a628eac97c8e1810d0dd17bfd2598f54655a0e5189825c10b4bc2e1dc",
+        "pops --format text --omegas 12":
+            "e09d506b117e9d0322c40e9b612b3f85b598c6b17ee1205bd5e26b2cb379489c",
+        "monomials --omegas 12":
+            "587e8d4c9cb8af8cbb04cc64f18b53d15a112afc781d340369317df72bc5289a",
+        "monomials --format json --omegas 12":
+            "e90d9788be922520a43de2ca39744da60cb5f756772cf4a203c2fab86556d2c0",
+    }
+    for argv, digest in digests.items():
+        assert cli.main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 2 ** 12, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # Rank 2: the block ((3, 0), (13, 1)) of pattern_chains((13, 1), False)
+    # holds the boxes (10, 2), of comb(12, 2) = 66 partitions, and (1, 0);
+    # the block ((4, 1), (5, 1)) holds the boxes (1, 3) and (0, 1).
+    mixed, small = ((3, 0), (13, 1)), ((4, 1), (5, 1))
+    assert [box for _, box in gap_block(*mixed)] == [(10, 2), (1, 0)]
+    assert [box for _, box in gap_block(*small)] == [(1, 3), (0, 1)]
+    assert any(pair == mixed for rows in pattern_chains((13, 1), False)
+               for pair in itertools.pairwise(rows))
     renderers = {"pops-json": (cli._pops_json_slots, False),
                  "pops-text": (cli._pops_text_slots, False),
                  "words-text": (cli._words_text_slots, True),
                  "words-json": (cli._words_json_slots, True),
-                 "words-degrees": (cli._words_degrees, True)}
+                 "words-degrees": (cli._words_degrees, True),
+                 # as enumerate_pops renders a position
+                 "partitions": (lambda pos, box: partitions_in_box(*box), False)}
     for name, (render, words) in renderers.items():
         blocks = _Blocks(render, words)
         for rows in pattern_chains((12,), False):
@@ -644,6 +666,10 @@ def test_rendered_partitions_keep_only_small_boxes(capsys):
             boxes = [(u - x, x - t) for u, x, t in zip(upper, lower, upper[1:] + (0,))]
             assert all(comb(ell + ellp, ell) <= 64 for ell, ellp in boxes), (name, lower)
         assert ((6,), (12,)) not in blocks, name
+        kept = len(blocks)
+        assert [len(slots) for slots in blocks[mixed]] == [66, 1], name
+        assert [len(slots) for slots in blocks[small]] == [4] + [1] * (not words), name
+        assert mixed not in blocks and small in blocks and len(blocks) == kept + 1, name
 
 
 class _RecordingStdout:
