@@ -42,7 +42,6 @@ from .oracle import (  # noqa: F401
 # that perfbench/traced.py can wrap them under this module's name.
 from .patterns import (  # noqa: F401
     PatternC,
-    _Memo,
     chain_weight,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -230,7 +229,7 @@ def _weight_walk(lam: tuple) -> tuple:
     # None or one chain with d != 0, rebuilt from the first (row, d) key that
     # reached each key.
     r = len(lam)
-    steps = _Memo(functools.partial(_weight_step, r))
+    steps = functools.cache(functools.partial(_weight_step, r))
     start = (lam, lam[:-1] + (lam[-1] + sum(lam),))  # lam^r adds -|lam| at a_r
     level, parents = {start: 1}, []
     for k in range(2 * r - 1, 0, -1):
@@ -238,7 +237,7 @@ def _weight_walk(lam: tuple) -> tuple:
         for key, n in level.items():
             row, d = key
             for lower in interlacing_rows(row + (0,) if k % 2 else row):
-                child = (lower, tuple(map(operator.sub, d, steps[lower, row])))
+                child = (lower, tuple(map(operator.sub, d, steps(lower, row))))
                 if child in below:
                     below[child] += n
                 else:
@@ -277,16 +276,16 @@ def _restricted_at_q1(terms: dict) -> Counter:
     return out
 
 
-def _top_block_walk(row: tuple, restricted: bool, totals: _Memo) -> tuple:
+def _top_block_walk(row: tuple, restricted: bool, totals) -> tuple:
     # The (restricted) patterns bounded by ``row``: their number and their
     # overlaid patterns counted by top block (ells, parts), the last
     # len(row) - restricted gaps, between the top row and the one under it.
     # Each row under the top lists its top-block partitions once and reads
-    # the chains under it, of the other kind, from ``totals``, a memo of
-    # count_chains.
+    # the chains under it, of the other kind, from ``totals``, a
+    # functools.cache of count_chains.
     n, groups = 0, Counter()
     for lower in interlacing_rows(row if restricted else row + (0,)):
-        patterns, overlays = totals[lower, not restricted]
+        patterns, overlays = totals(lower, not restricted)
         n += patterns
         boxes = [box for _, box in gap_block(lower, row)]
         ells = tuple([ell for ell, _ in boxes])
@@ -296,18 +295,18 @@ def _top_block_walk(row: tuple, restricted: bool, totals: _Memo) -> tuple:
 
 
 def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
-    # The top-block groups of ``walk[top, restricted]`` must be exactly the
+    # The top-block groups of ``walk(top, restricted)`` must be exactly the
     # block choices for the top block's multiplicities, each of the size of
     # the other kind's count one half-step down, under the row ``target``
     # that the choice bounds.
     # Returns (groups, expected, witness).
-    groups = walk[top, restricted][1]
+    groups = walk(top, restricted)[1]
     expected = {}
     omegas = lambda_to_omegas(top)[:len(top) - restricted]
     for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
         ells, parts = zip(*combo)
         target = tuple(t - ell for t, ell in zip(top, ells))
-        expected[(ells, parts)] = sum(walk[target, not restricted][1].values())
+        expected[(ells, parts)] = sum(walk(target, not restricted)[1].values())
     return len(groups), len(expected), _diff_witness(groups, expected, "block")
 
 
@@ -327,8 +326,9 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
     # The memos are made afresh on each call, so a long sweep grows none.
-    walk = _Memo(functools.partial(_top_block_walk, totals=_Memo(count_chains)))
-    n_patterns = walk[lam.lam, False][0]
+    totals = functools.cache(count_chains)
+    walk = functools.cache(functools.partial(_top_block_walk, totals=totals))
+    n_patterns = walk(lam.lam, False)[0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
     # The direct character counts every overlaid pattern once.
@@ -363,12 +363,12 @@ def verify_identities(lam: DominantWeight) -> Report:
             CheckResult("restricted-refinement-by-top-block", "skipped"))
 
     check("irreducible-dim-vs-intermediate-sum", n_patterns,
-          sum(walk[eta, True][0] for eta in etas))
+          sum(walk(eta, True)[0] for eta in etas))
 
     bad = None
     for eta in etas:
-        lhs = walk[eta, True][0]
-        rhs = sum(walk[nu, False][0] for nu in shtepin_branch_l(eta))
+        lhs = walk(eta, True)[0]
+        rhs = sum(walk(nu, False)[0] for nu in shtepin_branch_l(eta))
         if lhs != rhs:
             bad = f"eta={eta}: {lhs} vs {rhs}"
             break

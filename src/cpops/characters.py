@@ -33,10 +33,10 @@ to the lattice sum, so it converges term for term to the direct count.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import oracle
-from .patterns import _json_field, _json_ints, _Memo, interlacing_rows
+from .patterns import _json_field, _json_ints, interlacing_rows
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import enumerate_pops, pop_boxes, pop_weight  # noqa: F401
@@ -257,11 +257,9 @@ def expand_dominant(dominant: GradedCharacter) -> GradedCharacter:
     graded piece is invariant under signed permutations of the coordinates,
     so every term is copied to each weight of its signed orbit."""
     ch = GradedCharacter(dominant.rank)
-    orbits = {}
+    orbits = cache(oracle.signed_orbit)
     for (grade, mu), mult in dominant.terms.items():
-        if mu not in orbits:
-            orbits[mu] = oracle.signed_orbit(mu)
-        for w in orbits[mu]:  # orbits of distinct dominant weights are disjoint
+        for w in orbits(mu):  # orbits of distinct dominant weights are disjoint
             ch.terms[grade, w] = mult
     return ch
 
@@ -344,7 +342,7 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     that reach the same key merge there. Each box generating function is a
     Gaussian binomial, read from the rows that the fermionic walk also reads.
     """
-    boxes = _Memo(_gap_boxes)
+    boxes = cache(_gap_boxes)
     state = {(lam.lam, 0): {(): (1,)}}
     for k in range(2 * lam.rank):
         below = {}
@@ -353,13 +351,13 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
                 row, a_next = key
                 upper = row + (0,)
                 for eta in interlacing_rows(upper):
-                    _push(below, (eta, sum(row), a_next), (), boxes[eta, upper], sums)
+                    _push(below, (eta, sum(row), a_next), (), boxes(eta, upper), sums)
             else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
                 eta, lam_sum, a_next = key
                 for row in interlacing_rows(eta):
                     a = 2 * sum(eta) - lam_sum - sum(row)
                     if a >= a_next:
-                        _push(below, (row, a), (a,), boxes[row, eta], sums)
+                        _push(below, (row, a), (a,), boxes(row, eta), sums)
         state = below
     # One final key ((), a_1) per value of a_1, so their weights are disjoint.
     return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()})

@@ -175,21 +175,6 @@ def gap_block(lower: tuple, upper: tuple) -> list:
             in enumerate(zip(upper, lower, upper[1:] + (0,)), start=1)]
 
 
-class _Memo(dict):
-    # Values of ``fn`` keyed by its argument tuple: memo[a, b] is fn(a, b),
-    # computed once. Every entry is kept, so callers make one per call or
-    # command where the keys could grow without bound.
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(*key)
-        return value
-
-
 def differences(p: PatternC) -> dict:
     """Gaps of a valid pattern, (i, j, barred) -> (l, lp) in the order of
     ``p.positions``: the :func:`gap_block` of each pair of adjacent rows,

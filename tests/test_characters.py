@@ -47,6 +47,8 @@ def test_qpolynomial_arithmetic():
     assert str(QPolynomial({0: -1, 1: -1, 3: 2})) == "-1-q+2q^3"
     assert str(QPolynomial({2: -1})) == "-q^2"
     assert str(QPolynomial({1: 1})) == "q"
+    with pytest.raises(ValueError):
+        QPolynomial({-1: 1})
 
 
 def test_q_binomial_examples():
@@ -490,3 +492,5 @@ def test_merge_is_partition_independent():
             part.add_term(pop_boxes(pop), pop_weight(pop))
         merged.merge(part)
     assert merged == sequential
+    with pytest.raises(ValueError):
+        merged.merge(GradedCharacter(w.rank + 1))

@@ -119,6 +119,35 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verified 1 weight(s), 1 failure(s)"
 
 
+def test_verify_failure_renders_witness(capsys, monkeypatch):
+    # One unit of multiplicity moved in the Freudenthal table (the
+    # "freudenthal-moved-one" fault of test_branching) fails only the
+    # zeroth-piece check; both formats carry its witness and nothing else does.
+    freudenthal = branching.dominant_freudenthal
+
+    def moved(lam):
+        table = freudenthal(lam)
+        table[min(table)] -= 1
+        table[max(table)] += 1
+        return table
+    monkeypatch.setattr(branching, "dominant_freudenthal", moved)
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", "--omegas", "1,1")
+    assert code == 1
+    checks = json.loads(out)[0]["checks"]
+    assert [c["check"] for c in checks if c["status"] == "fail"] == [
+        "zeroth-piece-vs-freudenthal"]
+    assert [c["check"] for c in checks if "witness" in c] == [
+        "zeroth-piece-vs-freudenthal"]
+    code, out, _ = run_cli(capsys, "verify", "--omegas", "1,1")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if "[   fail]" in line]
+    assert len(failed) == 1 and "zeroth-piece-vs-freudenthal" in failed[0]
+    assert failed[0].endswith(" witness=weight (1, 0): 2 vs 1")
+    assert [line for line in lines if "witness=" in line] == failed
+    assert lines[-1] == "verified 1 weight(s), 1 failure(s)"
+
+
 def test_char_both_mismatch_exits_1(capsys, monkeypatch):
     # --method both compares the two dominant parts.
     fermionic = cli.dominant_character_fermionic
@@ -248,12 +277,13 @@ def test_char_closed_stdout_exits_141_quietly():
      "cli.dominant_character_fermionic = lambda weight: GradedCharacter(weight.rank)",
      ["char", "--method", "both", "--omegas", "1,1"],
      (1, "", "character mismatch between direct and fermionic methods\n")),
-    # main does not flush stdout on an internal error; run writes the line
-    # that was printed before it.
-    ("def rows(lam):\n    yield (1, 0)\n    raise RuntimeError('no\\n  row')\n"
-     "cli.shtepin_branch_l = rows",
-     ["branch", "--kind", "shtepin-l", "--format", "json", "--lambdas", "1,0"],
-     (3, "[1, 0]\n", "cpops: internal error: RuntimeError: no row\n")),
+    # main does not flush stdout on an internal error; run writes what was
+    # written before it: char's JSON header goes out before the first orbit.
+    ("import cpops.oracle\n"
+     "def orbit(mu):\n    raise RuntimeError('no\\n  orbit')\n"
+     "cpops.oracle.signed_orbit = orbit",
+     ["char", "--format", "json", "--omegas", "1"],
+     (3, '{"rank": 1, "terms": [', "cpops: internal error: RuntimeError: no orbit\n")),
 ], ids=["ok", "mismatch", "internal-error"])
 def test_run_exits_with_mains_status(setup, argv, expected):
     script = (f"import sys\nfrom cpops import cli\n{setup}\n"
@@ -286,6 +316,14 @@ def test_count_matches_enumeration(capsys):
     assert counts["patterns"] == 16
     assert counts["pops"] == 20
     assert counts["pop_formula"] == 20
+
+
+def test_count_text_format(capsys):
+    code, out, err = run_cli(capsys, "count", "--restricted", "--omegas", "1,1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "patterns: 16", "pop_formula: 20", "pops: 20", "restricted_patterns: 5",
+        "restricted_pop_formula: 6", "restricted_pops: 6"]
 
 
 def test_counts_build_no_pattern_or_overlaid_pattern(capsys, monkeypatch):
@@ -500,6 +538,7 @@ BAD_INPUT_MESSAGES = {
         "sweep too large",
     ("verify", "--rank", "2", "--max-total", "3000000000"): "sweep too large",
     ("verify", "--rank", "1000000000000", "--max-total", "0"): "sweep too large",
+    ("verify",): "verify needs --rank (with --max-total) or a weight",
 }
 
 
@@ -521,6 +560,7 @@ BAD_INPUT_MESSAGES = {
     ["monomials", "--omegas", "1", "--lambdas", "1"],
     ["patterns", "--rank", "2", "--lambdas", "1"],
     ["branch", "--kind", "filtration", "--omegas", "1"],
+    ["verify"],
 ])
 def test_usage_error_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -691,7 +731,10 @@ def test_listings_write_in_batches(capsys, monkeypatch):
     for argv in (["pops", "--omegas", "14"], ["pops", "--format", "text", "--omegas", "14"],
                  ["monomials", "--omegas", "14"],
                  ["monomials", "--format", "json", "--omegas", "14"],
-                 ["patterns", "--omegas", "2,1,1"]):
+                 ["patterns", "--omegas", "2,1,1"],
+                 # 13,824 filtration lines at omegas (3,3,3,3).
+                 ["branch", "--kind", "filtration", "--format", "json",
+                  "--omegas", "3,3,3,3"]):
         assert cli.main(argv) == 0
         expected = capsys.readouterr().out
         recorder = _RecordingStdout()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 from math import comb
@@ -7,7 +8,6 @@ import pytest
 from cpops.branching import _top_block_walk, count_chains, shtepin_branch_v
 from cpops.patterns import (
     PatternC,
-    _Memo,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
@@ -61,6 +61,8 @@ def test_enumerate_f_examples():
     assert list(enumerate_f(1)) == [(0, ()), (1, (0,))]
     for m in range(9):
         assert sum(1 for _ in enumerate_f(m)) == 2 ** m
+    with pytest.raises(ValueError):
+        list(enumerate_f(-1))
 
 
 def test_pop_count_zero_weight():
@@ -232,7 +234,12 @@ def test_pop_json_round_trip():
         pop_from_json(rank1)
     # the parts must fit their boxes and the pattern must be valid
     first, second = map(pop_to_json, enumerate_pops(DominantWeight.from_omegas((1,))))
+    # eta=[[0]] under lambda=[[2]]: the box (2, 0)
+    box20 = pop_to_json(next(enumerate_pops(DominantWeight.from_omegas((2,)))))
     for base, bad in (
+        # the right length, but increasing or negative parts
+        (box20, {"overlays": [dict(box20["overlays"][0], parts=[1, 0])]}),
+        (box20, {"overlays": [dict(box20["overlays"][0], parts=[-1, 0])]}),
         (second, {"overlays": [dict(second["overlays"][0], parts=[7, 3])]}),
         (first, {"overlays": [dict(first["overlays"][0], parts=[1])]}),
         (first, {"eta": [[9]]}),
@@ -313,9 +320,9 @@ def test_refinement_by_top_block_small():
                 expected[(ells, parts)] = sum(
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
-            assert _top_block_walk(w.lam, False, _Memo(count_chains)) == (
+            assert _top_block_walk(w.lam, False, functools.cache(count_chains)) == (
                 sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
-                assert _top_block_walk(eta, True, _Memo(count_chains)) == (
+                assert _top_block_walk(eta, True, functools.cache(count_chains)) == (
                     sum(1 for _ in enumerate_restricted_patterns(eta)),
                     _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta

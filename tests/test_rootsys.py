@@ -74,6 +74,8 @@ def test_root_label_validation():
                       ((1, 3, True), 2), ((1, 1, True), 0)]:
         with pytest.raises(ValueError):
             root_vector(bad, rank)
+    with pytest.raises(ValueError):
+        simple_root(0, 2)
 
 
 def test_root_label_is_its_tuple():
@@ -120,6 +122,8 @@ def test_positive_roots_counts_and_uniqueness():
     r3 = positive_roots(3)
     assert len(r3) == 9
     assert len(set(r3)) == 9
+    with pytest.raises(ValueError):
+        positive_roots(0)
 
 
 def test_inner_examples():
