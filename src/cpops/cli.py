@@ -5,6 +5,15 @@ Weights are given in exactly one coordinate system, either --omegas with the
 fundamental-weight multiplicities or --lambdas with the weakly decreasing
 tuple; --rank is optional and must agree with the tuple length when present.
 
+Flags are read from one table, COMMANDS, without argparse: importing it and
+building its parsers took about 8 ms of every start-up (2-core x86 host,
+Python 3.11.7). A flag takes its value as `--flag value` or `--flag=value`,
+may be shortened to any unique prefix (`--om 1,1`), and may come in any
+order; a repeated flag keeps its last value, and a value may start with "-"
+(`--lambdas -0`). `cpops -h` lists the commands and `cpops COMMAND -h` (or
+--help) a command's flags, on stdout with exit status 0. A usage error is
+one stderr line, `cpops: error: <message>`.
+
 Listings stream one JSON object per line (--format json) or one display line
 per item (--format text) and are deterministic across runs. The patterns,
 pops and monomials listings walk pattern chains, render each chain row and
@@ -23,11 +32,11 @@ teardown, so no `atexit` hook runs.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import operator
 import os
 import sys
+import types
 
 from .branching import (
     count_chains,
@@ -97,50 +106,45 @@ MONOMIAL_GRAMMAR = (
 )
 
 
-def _parse_int_tuple(text: str, parser: argparse.ArgumentParser, flag: str) -> tuple:
+def _usage_error(message: str):
+    # One stderr line, whatever the message holds, and exit status 2.
+    sys.stderr.write(f"cpops: error: {' '.join(message.split())}\n")
+    raise SystemExit(2)
+
+
+def _parse_int_tuple(text: str, flag: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        parser.error(f"{flag} expects a comma-separated integer list, got {text!r}")
+        _usage_error(f"{flag} expects a comma-separated integer list, got {text!r}")
 
 
-def _resolve_weight(args, parser: argparse.ArgumentParser) -> DominantWeight:
-    has_omegas = getattr(args, "omegas", None) is not None
-    has_lambdas = getattr(args, "lambdas", None) is not None
+def _resolve_weight(args) -> DominantWeight:
+    has_omegas = args.omegas is not None
+    has_lambdas = args.lambdas is not None
     if has_omegas == has_lambdas:
-        parser.error("supply exactly one of --omegas or --lambdas")
+        _usage_error("supply exactly one of --omegas or --lambdas")
     try:
         if has_omegas:
-            weight = DominantWeight.from_omegas(
-                _parse_int_tuple(args.omegas, parser, "--omegas"))
+            weight = DominantWeight.from_omegas(_parse_int_tuple(args.omegas, "--omegas"))
         else:
-            weight = DominantWeight(
-                _parse_int_tuple(args.lambdas, parser, "--lambdas"))
+            weight = DominantWeight(_parse_int_tuple(args.lambdas, "--lambdas"))
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     if args.rank is not None and args.rank != weight.rank:
-        parser.error(f"--rank {args.rank} inconsistent with weight length {weight.rank}")
+        _usage_error(f"--rank {args.rank} inconsistent with weight length {weight.rank}")
     return weight
 
 
-def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rank", type=int, default=None,
-                     help="rank r; optional, checked against the weight length")
-    sub.add_argument("--omegas", default=None,
-                     help="fundamental-weight multiplicities m_1,...,m_r")
-    sub.add_argument("--lambdas", default=None,
-                     help="weakly decreasing tuple lam_1,...,lam_r")
-
-
-def cmd_dim(args, parser) -> int:
-    weight = _resolve_weight(args, parser)
+def cmd_dim(args) -> int:
+    weight = _resolve_weight(args)
     what = "dim V" if args.irreducible else "the overlaid-pattern count"
     too_many = f"{what} has more than {MAX_DIGITS} digits"
     if not args.irreducible and pop_count_log10(weight) > MAX_DIGITS + 1:
-        parser.error(too_many)  # refused before the power is taken
+        _usage_error(too_many)  # refused before the power is taken
     value = weyl_dim(weight) if args.irreducible else pop_count_formula(weight)
     if value >= 10 ** MAX_DIGITS:
-        parser.error(too_many)
+        _usage_error(too_many)
     if args.check:
         counted = count_chains(weight)[0 if args.irreducible else 1]
         if counted != value:
@@ -151,10 +155,10 @@ def cmd_dim(args, parser) -> int:
     return 0
 
 
-def cmd_count(args, parser) -> int:
+def cmd_count(args) -> int:
     import json  # only count, branch and verify use it: not on every start-up
 
-    weight = _resolve_weight(args, parser)
+    weight = _resolve_weight(args)
     counts = dict(zip(("patterns", "pops"), count_chains(weight)))
     if args.restricted:
         eta = weight.lam
@@ -219,8 +223,8 @@ def _write_lines(write, head: str, lines, tail: str) -> None:
             return
 
 
-def cmd_patterns(args, parser) -> int:
-    weight = _resolve_weight(args, parser)
+def cmd_patterns(args) -> int:
+    weight = _resolve_weight(args)
     line = _pattern_json if args.format == "json" else _pattern_text
     _write_lines(sys.stdout.write, "",
                  map(line, pattern_chains(weight, args.restricted)), "\n")
@@ -272,8 +276,8 @@ def _words_degrees(pos, box) -> list:
     return list(map(sum, partitions_in_box(*box)))
 
 
-def cmd_pops(args, parser) -> int:
-    weight = _resolve_weight(args, parser)
+def cmd_pops(args) -> int:
+    weight = _resolve_weight(args)
     text = args.format == "text"
     blocks = _Blocks(_pops_text_slots if text else _pops_json_slots)
     order = None
@@ -299,8 +303,8 @@ def cmd_pops(args, parser) -> int:
     return 0
 
 
-def cmd_monomials(args, parser) -> int:
-    weight = _resolve_weight(args, parser)
+def cmd_monomials(args) -> int:
+    weight = _resolve_weight(args)
     write = sys.stdout.write
     if args.format == "text":
         blocks = _Blocks(_words_text_slots, words=True)
@@ -324,8 +328,8 @@ CHARACTER_WRITERS = {"json": write_json, "csv": write_csv, "latex": write_latex,
                      "text": write_text}
 
 
-def cmd_char(args, parser) -> int:
-    weight = _resolve_weight(args, parser)
+def cmd_char(args) -> int:
+    weight = _resolve_weight(args)
     ch = (dominant_character_fermionic if args.method == "fermionic"
           else dominant_character_direct)(weight)
     if args.method == "both" and ch != dominant_character_fermionic(weight):
@@ -336,13 +340,13 @@ def cmd_char(args, parser) -> int:
     return 0
 
 
-def cmd_branch(args, parser) -> int:
+def cmd_branch(args) -> int:
     import json
 
-    weight = _resolve_weight(args, parser)
+    weight = _resolve_weight(args)
     if args.kind == "filtration":
         if weight.rank < 2:
-            parser.error("--kind filtration needs rank at least 2")
+            _usage_error("--kind filtration needs rank at least 2")
         items = ({"ell": list(t.ell), "ellp": list(t.ellp), "mult": t.mult,
                   "target": list(t.target)} for t in weyl_filtration(weight))
     else:
@@ -358,15 +362,15 @@ def cmd_branch(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.rank is None and args.omegas is None and args.lambdas is None:
-        parser.error("verify needs --rank (with --max-total) or a weight")
+        _usage_error("verify needs --rank (with --max-total) or a weight")
     if args.omegas is not None or args.lambdas is not None:
-        weights = [_resolve_weight(args, parser)]
+        weights = [_resolve_weight(args)]
     elif args.rank < 1:
-        parser.error(f"--rank must be a positive integer, got {args.rank}")
+        _usage_error(f"--rank must be a positive integer, got {args.rank}")
     elif args.max_total < 0:
-        parser.error(f"--max-total must be non-negative, got {args.max_total}")
+        _usage_error(f"--max-total must be non-negative, got {args.max_total}")
     else:
         # The sweep has comb(rank + max_total, rank) weights of rank
         # coordinates each. The product runs over the smaller side of the
@@ -378,7 +382,7 @@ def cmd_verify(args, parser) -> int:
                 break
             size = size * (b + i) // i
         if size > MAX_SWEEP:
-            parser.error(f"sweep too large: --rank {args.rank} --max-total "
+            _usage_error(f"sweep too large: --rank {args.rank} --max-total "
                          f"{args.max_total} has more than {MAX_SWEEP} weight "
                          "coordinates (rank times weights)")
         weights = list(sweep_dominant_weights(args.rank, args.max_total))
@@ -395,85 +399,189 @@ def cmd_verify(args, parser) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cpops",
-        description="Exact symplectic pattern/overlay combinatorics and "
-                    "graded Weyl-module characters.",
-        epilog=MONOMIAL_GRAMMAR,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table. A flag is (kind, default, help), its kind int, str, bool
+# (a switch that takes no value) or the tuple of its choices; a command is
+# (handler, help, its own flags), and takes the weight flags before those.
+HELP_FLAG = {"--help": (bool, False, "show this help and exit")}
 
-    p = sub.add_parser("dim", help="dimension by the product formula")
-    _add_weight_flags(p)
-    p.add_argument("--irreducible", action="store_true",
-                   help="dimension of the irreducible module instead")
-    p.add_argument("--check", action="store_true",
-                   help="cross-check the formula against a sum over "
-                        "pattern rows")
-    p.set_defaults(func=cmd_dim)
+WEIGHT_FLAGS = {
+    "--rank": (int, None, "rank r; optional, checked against the weight length"),
+    "--omegas": (str, None, "fundamental-weight multiplicities m_1,...,m_r"),
+    "--lambdas": (str, None, "weakly decreasing tuple lam_1,...,lam_r"),
+}
 
-    p = sub.add_parser("count", help="pattern and overlay counts")
-    _add_weight_flags(p)
-    p.add_argument("--restricted", action="store_true",
-                   help="also count restricted patterns and overlays")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_count)
+COMMANDS = {
+    "dim": (cmd_dim, "dimension by the product formula", {
+        "--irreducible": (bool, False, "dimension of the irreducible module instead"),
+        "--check": (bool, False,
+                    "cross-check the formula against a sum over pattern rows"),
+    }),
+    "count": (cmd_count, "pattern and overlay counts", {
+        "--restricted": (bool, False, "also count restricted patterns and overlays"),
+        "--format": (("text", "json"), "text", None),
+    }),
+    "patterns": (cmd_patterns, "stream all patterns", {
+        "--restricted": (bool, False, "only the restricted patterns"),
+        "--format": (("text", "json"), "json", None),
+    }),
+    "pops": (cmd_pops, "stream all partition-overlaid patterns", {
+        "--restricted": (bool, False, "only the restricted overlaid patterns"),
+        "--format": (("text", "json"), "json", None),
+    }),
+    "monomials": (cmd_monomials, "stream the basis words, one per overlay", {
+        "--format": (("text", "json"), "text", None),
+    }),
+    "char": (cmd_char, "graded character", {
+        "--method": (("direct", "fermionic", "both"), "direct",
+                     "'both' compares the two computations and fails on any difference"),
+        "--format": (("text", "json", "csv", "latex"), "text",
+                     "csv columns: grade,a1..ar,mult; latex terms: m q^{s} e^{...}"),
+        "--dominant": (bool, False,
+                       "print only the terms of dominant weight, which fix the character"),
+    }),
+    "branch": (cmd_branch, "filtration and branching listings", {
+        "--kind": (("filtration", "shtepin-v", "shtepin-l"), "filtration", None),
+        "--format": (("text", "json"), "text", None),
+    }),
+    "verify": (cmd_verify, "run the identity suite over a weight sweep", {
+        "--max-total": (int, 2, "sweep all weights with multiplicity sum up to this"),
+        "--format": (("text", "json"), "text", None),
+    }),
+}
 
-    p = sub.add_parser("patterns", help="stream all patterns")
-    _add_weight_flags(p)
-    p.add_argument("--restricted", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    p.set_defaults(func=cmd_patterns)
 
-    p = sub.add_parser("pops", help="stream all partition-overlaid patterns")
-    _add_weight_flags(p)
-    p.add_argument("--restricted", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    p.set_defaults(func=cmd_pops)
+def _flags(command: str) -> dict:
+    return {**HELP_FLAG, **WEIGHT_FLAGS, **COMMANDS[command][2]}
 
-    p = sub.add_parser("monomials", help="stream the basis words, one per overlay")
-    _add_weight_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_monomials)
 
-    p = sub.add_parser("char", help="graded character")
-    _add_weight_flags(p)
-    p.add_argument("--method", choices=("direct", "fermionic", "both"),
-                   default="direct",
-                   help="'both' compares the two computations and fails on "
-                        "any difference")
-    p.add_argument("--format", choices=("text", "json", "csv", "latex"),
-                   default="text",
-                   help="csv columns: grade,a1..ar,mult; "
-                        "latex terms: m q^{s} e^{...}")
-    p.add_argument("--dominant", action="store_true",
-                   help="print only the terms of dominant weight, which fix "
-                        "the character")
-    p.set_defaults(func=cmd_char)
+def _help(command=None) -> str:
+    if command is None:
+        names = "\n".join(f"  {name:<11}{COMMANDS[name][1]}" for name in COMMANDS)
+        return ("usage: cpops [-h] COMMAND [FLAGS]\n\n"
+                "Exact symplectic pattern/overlay combinatorics and graded "
+                f"Weyl-module characters.\n\ncommands:\n{names}\n\n"
+                "cpops COMMAND -h lists the flags of COMMAND.\n\n"
+                f"{MONOMIAL_GRAMMAR}\n")
+    lines = [f"usage: cpops {command} [FLAGS]", "", COMMANDS[command][1], "", "flags:"]
+    for name, (kind, default, text) in _flags(command).items():
+        if kind is int:
+            name += " N"
+        elif kind is str:
+            name += " LIST"
+        elif kind is not bool:
+            name += f" {{{','.join(kind)}}} (default: {default})"
+        lines.append("  -h, --help" if name == "--help" else f"  {name}")
+        if text:
+            lines.append(f"      {text}")
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("branch", help="filtration and branching listings")
-    _add_weight_flags(p)
-    p.add_argument("--kind", choices=("filtration", "shtepin-v", "shtepin-l"),
-                   default="filtration")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("verify", help="run the identity suite over a weight sweep")
-    _add_weight_flags(p)
-    p.add_argument("--max-total", type=int, default=2,
-                   help="sweep all weights with multiplicity sum up to this")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+def _flag(token: str, flags: dict):
+    """The flag a token names and its attached value (None without "="), or
+    None when the token is a value; an unknown flag has the name "".
 
-    return parser
+    A flag is named in full or by a unique prefix, as --name or --name=value;
+    "-h" is --help, and "-hX" is --help with the value X. A token that starts
+    with "-" is still a value when it is "-", "--" or a negative number, or
+    holds a space.
+    """
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[:2] == "-h":
+        return "--help", token[2:] or None
+    name, eq, value = token.partition("=")
+    if token.startswith("--"):
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    # A negative number as argparse matched it, -\d+$ or -\d*\.\d+$ (where $
+    # also matches before a final newline), is a value.
+    number = token[1:].removesuffix("\n")
+    if (number.replace(".", "", 1).isdecimal() and number[-1] != ".") or " " in token:
+        return None
+    return "", None
+
+
+def _parse(argv: list):
+    """The handler of the command argv names and its flag values.
+
+    Writes the help and exits 0 on -h or --help; a usage error exits 2. An
+    unknown flag or a stray value is reported only once the command's flags
+    have all been read, and every token after "--" is a stray value.
+    """
+    stray = []
+    for i, token in enumerate(argv):
+        flag = _flag(token, HELP_FLAG)
+        if flag is None:
+            break
+        if flag[0]:
+            _switch(flag, None)
+        stray.append(token)
+    else:
+        _usage_error("the following arguments are required: command")
+    command, tokens = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    tokens, after = tokens[:cut], tokens[cut:]
+    flags = _flags(command)
+    # Every flag is named before any is read, so an ambiguous prefix is
+    # reported even after -h.
+    found = [_flag(token, flags) for token in tokens]
+    values = {name: default for name, (_, default, _) in flags.items()}
+    i = 0
+    while i < len(tokens):
+        flag = found[i]
+        i += 1
+        if flag is None or not flag[0]:
+            stray.append(tokens[i - 1])
+            continue
+        name, value = flag
+        kind = flags[name][0]
+        if kind is bool:
+            value = _switch(flag, command)
+        else:
+            if value is None:
+                if i == len(tokens) or found[i] is not None:
+                    _usage_error(f"argument {name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"argument {name}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _usage_error(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {choices})")
+        values[name] = value
+    if stray or after:
+        _usage_error(f"unrecognized arguments: {' '.join(stray + after)}")
+    del values["--help"]
+    return COMMANDS[command][0], types.SimpleNamespace(
+        **{name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
+def _switch(flag: tuple, command) -> bool:
+    # A flag that takes no value: True, or the help of the command (None
+    # for the program) on stdout and exit status 0.
+    name, value = flag
+    if value is not None:
+        _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+    if name == "--help":
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+    return True
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.func(args, parser)
+        code = handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull so a later flush (run's,

@@ -202,13 +202,8 @@ def test_char_has_no_cache(tmp_path, capsys, monkeypatch):
     # char always computes: --cache-dir is an unknown flag and the
     # CPOPS_CACHE_DIR variable, which once named a cache directory, is ignored.
     cache_dir = tmp_path / "cache"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["char", "--omegas", "1,1", "--cache-dir", str(cache_dir)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.splitlines()[-1] == (
-        f"cpops: error: unrecognized arguments: --cache-dir {cache_dir}")
+    err = usage_error(capsys, ["char", "--omegas", "1,1", "--cache-dir", str(cache_dir)])
+    assert err == f"cpops: error: unrecognized arguments: --cache-dir {cache_dir}\n"
     fresh = run_cli(capsys, "char", "--omegas", "1,1")
     monkeypatch.setenv("CPOPS_CACHE_DIR", str(cache_dir))
     assert run_cli(capsys, "char", "--omegas", "1,1") == fresh
@@ -223,13 +218,7 @@ def test_char_has_no_cache(tmp_path, capsys, monkeypatch):
     (["dim", "--irreducible", "--omegas", ",".join(["9" * 1100] * 2)], "dim V"),
 ])
 def test_dim_too_many_digits_exits_2(capsys, argv, what):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert errors == [f"cpops: error: {what} has more than 4300 digits"]
+    assert usage_error(capsys, argv) == f"cpops: error: {what} has more than 4300 digits\n"
 
 
 def test_dim_prints_4300_digits(capsys):
@@ -501,34 +490,36 @@ def test_branch_listings(capsys):
         assert out.splitlines() == lines, argv
 
 
-def test_usage_error_both_weight_forms(capsys):
+def usage_error(capsys, argv) -> str:
+    # The stderr of a usage error: exit status 2, no stdout and one line.
     with pytest.raises(SystemExit) as exc:
-        cli.main(["dim", "--omegas", "1", "--lambdas", "1"])
+        cli.main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cpops: error: ")
+    assert len(captured.err.splitlines()) == 1, captured.err
+    return captured.err
+
+
+def test_usage_error_both_weight_forms(capsys):
+    usage_error(capsys, ["dim", "--omegas", "1", "--lambdas", "1"])
 
 
 def test_usage_error_no_weight(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["dim"])
-    assert exc.value.code == 2
+    usage_error(capsys, ["dim"])
 
 
 def test_usage_error_rank_mismatch(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["dim", "--rank", "3", "--omegas", "1,0"])
-    assert exc.value.code == 2
+    usage_error(capsys, ["dim", "--rank", "3", "--omegas", "1,0"])
 
 
 def test_usage_error_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+    usage_error(capsys, ["frobnicate"])
 
 
 def test_usage_error_bad_weight(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["dim", "--lambdas", "0,1"])
-    assert exc.value.code == 2
+    usage_error(capsys, ["dim", "--lambdas", "0,1"])
 
 
 # Inputs whose usage error must carry a specific message.
@@ -539,6 +530,16 @@ BAD_INPUT_MESSAGES = {
     ("verify", "--rank", "2", "--max-total", "3000000000"): "sweep too large",
     ("verify", "--rank", "1000000000000", "--max-total", "0"): "sweep too large",
     ("verify",): "verify needs --rank (with --max-total) or a weight",
+    (): "the following arguments are required: command",
+    ("dim", "--omegas"): "argument --omegas: expected one argument",
+    ("verify", "--rank", "x"): "argument --rank: invalid int value: 'x'",
+    ("char", "--format", "xml", "--omegas", "1"): "argument --format: invalid choice: 'xml'",
+    ("char", "--dominant=1", "--omegas", "1"):
+        "argument --dominant: ignored explicit argument '1'",
+    ("count", "--r", "1", "--omegas", "1"):
+        "ambiguous option: --r could match --rank, --restricted",
+    ("-.5", "--help"): "argument command: invalid choice: '-.5'",
+    ("dim", "--omegas", "1", "-hx", "-h"): "argument --help: ignored explicit argument 'x'",
 }
 
 
@@ -561,15 +562,83 @@ BAD_INPUT_MESSAGES = {
     ["patterns", "--rank", "2", "--lambdas", "1"],
     ["branch", "--kind", "filtration", "--omegas", "1"],
     ["verify"],
+    [],
+    ["dim", "--omegas"],
+    ["verify", "--rank", "x"],
+    ["char", "--format", "xml", "--omegas", "1"],
+    ["char", "--dominant=1", "--omegas", "1"],
+    ["count", "--r", "1", "--omegas", "1"],
+    # A negative number is a value, here the command, and not a flag to skip.
+    ["-.5", "--help"],
+    # -hx is -h with a value, an error before the -h after it is read.
+    ["dim", "--omegas", "1", "-hx", "-h"],
 ])
 def test_usage_error_bad_input(capsys, argv):
+    err = usage_error(capsys, argv)
+    assert BAD_INPUT_MESSAGES.get(tuple(argv), "") in err
+
+
+# Each argv against the same command spelled out: a value after "=", a
+# unique prefix of a flag, flags in another order, a repeated flag (the last
+# value counts) and a value that starts with "-".
+@pytest.mark.parametrize("argv, spelled", [
+    (["dim", "--omegas=1,1"], ["dim", "--omegas", "1,1"]),
+    (["dim", "--om", "1,1"], ["dim", "--omegas", "1,1"]),
+    (["count", "--res", "--form=json", "--lam", "2,1"],
+     ["count", "--restricted", "--format", "json", "--lambdas", "2,1"]),
+    (["char", "--format", "json", "--omegas", "2,1", "--method", "fermionic"],
+     ["char", "--omegas", "2,1", "--method", "fermionic", "--format", "json"]),
+    (["char", "--format", "csv", "--omegas", "2", "--format", "json", "--dom", "--dom"],
+     ["char", "--omegas", "2", "--format", "json", "--dominant"]),
+    (["verify", "--max-t=1", "--rank", "2", "--max-total", "0"],
+     ["verify", "--rank", "2", "--max-total", "0"]),
+    (["dim", "--lambdas", "-0"], ["dim", "--lambdas", "0"]),
+    (["branch", "--kind=shtepin-l", "--lambdas=2,1", "--format=json"],
+     ["branch", "--kind", "shtepin-l", "--lambdas", "2,1", "--format", "json"]),
+])
+def test_accepted_flag_syntax(capsys, argv, spelled):
+    expected = run_cli(capsys, *spelled)
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(capsys, *argv) == expected
+
+
+def help_text(capsys, argv) -> str:
+    # The help: exit status 0, on stdout only.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    assert BAD_INPUT_MESSAGES.get(tuple(argv), "") in err
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("\n")
+    return captured.out
+
+
+def test_help(capsys):
+    top = help_text(capsys, ["-h"])
+    assert help_text(capsys, ["--he"]) == top
+    assert all(f"  {name} " in top for name in cli.COMMANDS)
+    assert len(cli.COMMANDS) == 8
+    assert top.endswith(cli.MONOMIAL_GRAMMAR + "\n")
+    for command, (_, _, own) in cli.COMMANDS.items():
+        out = help_text(capsys, [command, "--help"])
+        assert help_text(capsys, [command, "--omegas", "1", "-h"]) == out
+        for name, (kind, _, _) in {**cli.WEIGHT_FLAGS, **own}.items():
+            assert f"  {name}" in out, (command, name)
+            if isinstance(kind, tuple):
+                assert f"  {name} {{{','.join(kind)}}}" in out, (command, name)
+
+
+def test_commands_never_import_argparse():
+    # No command parses its flags through argparse, which took about 8 ms of
+    # every start-up. In a child interpreter, because pytest imports argparse.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); from cpops import cli; "
+              "cli.main(['dim', '--omegas', '1']); "
+              "cli.main(['char', '--method', 'direct', '--format', 'json', "
+              "'--omegas', '2,1']); print('argparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-E", "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[0] == "2"
+    assert out.splitlines()[-1] == "False"
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
