@@ -74,20 +74,23 @@ class FiltrationTerm(namedtuple("FiltrationTerm", "ell ellp mult target")):
     __slots__ = ()
 
 
-def weyl_filtration(lam: DominantWeight) -> list:
-    """All filtration terms of ``lam``: ell_i <= m_i, ellp_i <= n_i with
-    n_i = m_i - ell_i + ell_{i+1}, multiplicity the product of the two
-    binomial families, target the first r-1 entries of lam minus both gaps.
+def weyl_filtration(lam: DominantWeight):
+    """The filtration terms of ``lam``, yielded one at a time: ell_i <= m_i,
+    ellp_i <= n_i with n_i = m_i - ell_i + ell_{i+1}, multiplicity the
+    product of the two binomial families, target the first r-1 entries of
+    lam minus both gaps.
 
     The dimension bookkeeping sum(mult * dim W(target)) = dim W(lam) holds
-    exactly; rank-1 input is rejected.
+    exactly; rank-1 input is rejected when this is called, before any term
+    is asked for.
     """
-    r = lam.rank
-    if r < 2:
+    if lam.rank < 2:
         raise ValueError("filtration needs rank at least 2")
-    m = lam.omegas
-    lam_t = lam.lam
-    terms = []
+    return _filtration_terms(lam.omegas, lam.lam)
+
+
+def _filtration_terms(m: tuple, lam_t: tuple):
+    r = len(m)
     for ell in itertools.product(*(range(mi + 1) for mi in m)):
         n = tuple(
             m[i] - ell[i] + (ell[i + 1] if i + 1 < r else 0) for i in range(r - 1)
@@ -100,8 +103,7 @@ def weyl_filtration(lam: DominantWeight) -> list:
             for ni, li in zip(n, ellp):
                 mult *= comb(ni, li)
             target = tuple(lam_t[i] - ell[i] - ellp[i] for i in range(r - 1))
-            terms.append(FiltrationTerm(ell, ellp, mult, target))
-    return terms
+            yield FiltrationTerm(ell, ellp, mult, target)
 
 
 def shtepin_branch_v(lam) -> list:
@@ -375,7 +377,7 @@ def verify_identities(lam: DominantWeight) -> Report:
     check("intermediate-dim-vs-irreducible-sum", len(etas), len(etas), bad)
 
     if r >= 2:
-        terms = weyl_filtration(lam)
+        terms = list(weyl_filtration(lam))
         booked = sum(term.mult * pop_count_formula(term.target) for term in terms)
         check("weyl-filtration-dimension", booked, formula)
 

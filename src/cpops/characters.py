@@ -10,8 +10,12 @@ row pair, and ``dominant_character_fermionic`` evaluates a lattice sum of
 Gaussian-binomial products over gap arrays, level by level, touching none of
 the pattern machinery. Each sum cuts a branch once a coordinate it has fixed
 breaks dominance, and is memoized on the few numbers the rest of its walk
-reads: in one pass down, paths that reach the same key merge their dense
-coefficient lists, and the character is built once at the end.
+reads: in one pass down, paths that reach the same key merge their
+polynomials, and the character is built once at the end. Both walks hold
+each q-polynomial as one integer, its value at q = 2**W for a field width W
+wider than any coefficient of the result (:func:`_packing`), so a product
+is one integer multiply and a sum one integer add; only the final values
+are read back, digit by digit.
 ``character_direct`` and ``character_fermionic`` expand the dominant part
 to the full character with :func:`expand_dominant`. The two must agree
 exactly, which is the package's central cross-check.
@@ -19,10 +23,11 @@ exactly, which is the package's central cross-check.
 Each output format has one writer, ``write_json``, ``write_csv``,
 ``write_latex`` or ``write_text``, which writes a character through a
 ``write`` callable, optionally expanded to its signed orbits on the fly: each
-distinct weight's orbit is computed, sorted and rendered once, and every
-grade that holds the weight reuses it. ``character_to_csv``,
-``character_to_latex`` and ``character_to_text`` return a writer's output as
-a string, with no expansion.
+distinct weight's orbit is written already in descending order, with no set
+and no sort, from tails that the weights share, each image's text built
+along with it once, and every grade that holds the weight reuses it.
+``character_to_csv``, ``character_to_latex`` and ``character_to_text``
+return a writer's output as a string, with no expansion.
 
 Gaussian binomials use the zero convention out of range: the polynomial is
 zero whenever the bottom index exceeds the top or the top is negative. Under
@@ -33,25 +38,29 @@ to the lattice sum, so it converges term for term to the direct count.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
+from operator import add
 
 from . import oracle
 from .patterns import _json_field, _json_ints, interlacing_rows
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
-from .pops import enumerate_pops, pop_boxes, pop_weight  # noqa: F401
+from .pops import enumerate_pops, pop_boxes, pop_count_formula, pop_weight  # noqa: F401
 from .rootsys import DominantWeight
 
 
+def _signed_term(c: int, symbol: str) -> str:
+    # One term of a signed sum, led by its sign: a coefficient of +-1 on a
+    # non-empty symbol prints without the 1, and a zero one prints nothing.
+    if not c:
+        return ""
+    return f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 and symbol else abs(c)}{symbol}"
+
+
 def _signed_sum(terms) -> str:
-    # Non-zero (coefficient, symbol) pairs as one signed sum: the first term
-    # keeps its own sign, later ones are joined by +/-, a coefficient of +-1
-    # on a non-empty symbol prints without the 1, and no terms print 0.
-    out = []
-    for c, symbol in terms:
-        mag = "" if abs(c) == 1 and symbol else str(abs(c))
-        out.append(f"{'-' if c < 0 else '+' if out else ''}{mag}{symbol}")
-    return "".join(out) or "0"
+    # (coefficient, symbol) pairs as one signed sum: the first term keeps its
+    # own sign, later ones are joined by +/-, and no terms print 0.
+    return "".join([_signed_term(c, symbol) for c, symbol in terms]).removeprefix("+") or "0"
 
 
 class QPolynomial:
@@ -264,62 +273,76 @@ def expand_dominant(dominant: GradedCharacter) -> GradedCharacter:
     return ch
 
 
-def _dense_mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    # Product of two dense coefficient sequences (index = q-exponent). A
-    # factor 1 returns the other operand itself, so results are read only.
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return a if b[0] == 1 else [b[0] * x for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(b):
-        if x:
-            for e, y in enumerate(a, i):
-                out[e] += x * y
-    return out
+def _packed(coeffs: Sequence[int], width: int) -> int:
+    # sum(c << width * e for e, c in enumerate(coeffs)) for a width of whole
+    # bytes: each coefficient fills its field of one byte string. When one
+    # overflows its field, the low and the high parts are packed apart.
+    mask = (1 << width) - 1
+    if max(coeffs) > mask:
+        return (_packed([c & mask for c in coeffs], width)
+                + (_packed([c >> width for c in coeffs], width) << width))
+    return int.from_bytes(b"".join([c.to_bytes(width // 8, "little") for c in coeffs]),
+                          "little")
 
 
-def _accumulate(sums: dict, key, poly: Sequence[int]) -> None:
-    # sums[key] += poly, on dense coefficient lists that ``sums`` owns.
-    acc = sums.get(key)
-    if acc is None:
-        sums[key] = list(poly)
-        return
-    if len(acc) < len(poly):
-        acc.extend([0] * (len(poly) - len(acc)))
-    for e, c in enumerate(poly):
-        acc[e] += c
+def _packed_binomial(n: int, s: int, width: int) -> int:
+    # [n, s] at q = 2**width, from the shared row n.
+    return _packed(_binomial_coeffs(n, s), width)
 
 
-def _push(below: dict, child, fixed: tuple, poly: Sequence[int], sums: dict) -> None:
+def _packing(lam: DominantWeight) -> tuple:
+    """Field width W and a per-call memo of packed Gaussian binomials for
+    the walks below ``lam``, which hold each q-polynomial as one integer,
+    its value at q = 2**W, so a product is one integer multiply and a sum
+    one integer add. W is the bit length of dim W(lam) rounded up to whole
+    bytes, so that values pack and unpack through bytes.
+
+    Evaluation at 2**W is a ring homomorphism from Z[q] to Z, so a walk's
+    packed result is the packed value of its polynomial, however the fields
+    of intermediate values carry into each other. Only final values are
+    read back, and each coefficient c of the dominant part is a weight
+    multiplicity of one grade: 0 <= c <= dim W(lam) = pop_count_formula <
+    2**W, so the base-2**W digits of a final value are its coefficients.
+    """
+    width = -(-pop_count_formula(lam.lam).bit_length() // 8) * 8
+    return width, cache(partial(_packed_binomial, width=width))
+
+
+def _push(below: dict, child, fixed: tuple, poly: int, sums: dict) -> None:
     # below[child][fixed + above] += poly * sums[above], for every tuple of
     # coordinates ``above`` fixed before the step to ``child``.
     acc = below.setdefault(child, {})
     for above, sub in sums.items():
-        _accumulate(acc, fixed + above, _dense_mul(poly, sub))
+        key = fixed + above
+        acc[key] = acc.get(key, 0) + poly * sub
 
 
-def _dense_character(rank: int, sums: dict) -> "GradedCharacter":
-    # The character holding dense polynomials keyed by weight.
+def _dense_character(rank: int, sums: dict, width: int) -> "GradedCharacter":
+    # The character holding packed polynomials keyed by weight: each value's
+    # base-2**width digits, its fields of width // 8 bytes, are its
+    # coefficients.
+    nbytes = width // 8
     ch = GradedCharacter(rank)
     for weight, poly in sums.items():
-        for grade, mult in enumerate(poly):
+        data = memoryview(poly.to_bytes(-(-poly.bit_length() // width) * nbytes, "little"))
+        for grade, start in enumerate(range(0, len(data), nbytes)):
+            mult = int.from_bytes(data[start:start + nbytes], "little")
             if mult:
                 ch.terms[grade, weight] = mult
     return ch
 
 
-def _gap_boxes(lower: tuple, upper: tuple) -> Sequence[int]:
+def _gap_boxes(lower: tuple, upper: tuple, binomial) -> int:
     # Product of the box generating functions, the Gaussian binomials
-    # [ell + ellp, ell], over the gaps between two adjacent rows, in
-    # gap_block's (lower, upper) order: box i is (ell, ellp) =
-    # (upper_i - lower_i, lower_i - upper_{i+1}). An eta row's upper row
-    # carries the trailing 0 of its lambda row.
-    poly = (1,)
+    # [ell + ellp, ell] packed by ``binomial``, over the gaps between two
+    # adjacent rows, in gap_block's (lower, upper) order: box i is (ell,
+    # ellp) = (upper_i - lower_i, lower_i - upper_{i+1}). An eta row's upper
+    # row carries the trailing 0 of its lambda row.
+    poly = 1
     for i, x in enumerate(lower):
         ell, ellp = upper[i] - x, x - upper[i + 1]
         if ell and ellp:  # a box with one side 0 holds one empty partition
-            poly = _dense_mul(poly, _binomial_coeffs(ell + ellp, ell))
+            poly *= binomial(ell + ellp, ell)
     return poly
 
 
@@ -336,14 +359,16 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     least a_{j+1} (a_{r+1} = 0; lam^0 is empty). So the rest of the sum
     depends on a lam^j row only through (lam^j, a_{j+1}), and on an eta^j row
     through (eta^j, |lam^j|, a_{j+1}). One pass down the rows keeps, per key
-    of the current row, dense polynomials keyed by the coordinates a_{j+1}..
-    a_r fixed above it, and pushes each, times the product of box generating
-    functions of the row pair (memoized per pair), to every child key; paths
-    that reach the same key merge there. Each box generating function is a
-    Gaussian binomial, read from the rows that the fermionic walk also reads.
+    of the current row, packed polynomials (:func:`_packing`) keyed by the
+    coordinates a_{j+1}..a_r fixed above it, and pushes each, times the
+    product of box generating functions of the row pair (memoized per
+    pair), to every child key; paths that reach the same key merge there.
+    Each box generating function is a Gaussian binomial, packed from the
+    rows that the fermionic walk also reads.
     """
-    boxes = cache(_gap_boxes)
-    state = {(lam.lam, 0): {(): (1,)}}
+    width, binomial = _packing(lam)
+    boxes = cache(partial(_gap_boxes, binomial=binomial))
+    state = {(lam.lam, 0): {(): 1}}
     for k in range(2 * lam.rank):
         below = {}
         for key, sums in state.items():
@@ -360,7 +385,8 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
                         _push(below, (row, a), (a,), boxes(row, eta), sums)
         state = below
     # One final key ((), a_1) per value of a_1, so their weights are disjoint.
-    return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()})
+    return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()},
+                            width)
 
 
 def character_direct(lam: DominantWeight) -> GradedCharacter:
@@ -370,18 +396,18 @@ def character_direct(lam: DominantWeight) -> GradedCharacter:
     return expand_dominant(dominant_character_direct(lam))
 
 
-def _binomial_products(tops: Sequence[int], start: Sequence[int]) -> list:
+def _binomial_products(tops: Sequence[int], start: int, binomial) -> list:
     # Every entry tuple with 0 <= entry_i <= tops[i], each with ``start``
-    # times the Gaussian binomials [tops[i], entry_i], built one position at a
-    # time; a negative top admits no entry.
-    partial = [((), start)]
+    # times the Gaussian binomials [tops[i], entry_i] packed by ``binomial``,
+    # built one position at a time; a negative top admits no entry.
+    products = [((), start)]
     for n in tops:
-        partial = [(entries + (e,), _dense_mul(poly, _binomial_coeffs(n, e)))
-                   for entries, poly in partial for e in range(n + 1)]
-    return partial
+        products = [(entries + (e,), poly * binomial(n, e))
+                    for entries, poly in products for e in range(n + 1)]
+    return products
 
 
-def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple) -> dict:
+def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple, binomial) -> dict:
     # Walk level j from a key (T_1..T_{j+1}, a_{j+1}, a_{j+2}) at the
     # boundary before it: child key -> summed binomial products of the
     # level's entries that lead to it. The unbarred entries (i, j) come
@@ -390,17 +416,16 @@ def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple) -> dict:
     tops = ([omegas[i] + totals[i + 1] - totals[i] for i in range(j)]
             if j < len(lam_t) else [0] * j)
     out = {}
-    for unbarred, poly in _binomial_products(tops, (1,)):
+    for unbarred, poly in _binomial_products(tops, 1, binomial):
         hi = a_hi + sum(unbarred)  # a_{j+1} is final after level j
         if hi < a_top:
             continue
-        lo = lam_t[j - 1] - totals[j - 1] - unbarred[j - 1]
-        barred_tops = [omegas[i] + totals[i + 1] + unbarred[i + 1] - totals[i] - unbarred[i]
-                       for i in range(j - 1)] + [lo]
-        for barred, prod in _binomial_products(barred_tops, poly):
-            child = (tuple(map(sum, zip(totals, unbarred, barred))),
-                     lo - sum(barred) - barred[j - 1], hi)
-            _accumulate(out, child, prod)
+        walked = tuple(map(add, totals, unbarred))  # T_1..T_j after the unbarred block
+        lo = lam_t[j - 1] - walked[j - 1]
+        barred_tops = [omegas[i] + walked[i + 1] - walked[i] for i in range(j - 1)] + [lo]
+        for barred, prod in _binomial_products(barred_tops, poly, binomial):
+            child = (tuple(map(add, walked, barred)), lo - sum(barred) - barred[-1], hi)
+            out[child] = out.get(child, 0) + prod
     return out
 
 
@@ -429,17 +454,18 @@ def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
     T_{j+1}, a_{j+1} as walked so far, a_{j+2}, which is final). The barred
     entries (i, j + 1), i <= j, also move a_{j+1}, so it is no function of
     the T_i and must be in the key. One pass down the levels keeps, per key,
-    dense polynomials keyed by the final a_{j+2}..a_r, and pushes each, times
-    the summed binomial products of level j leading to a child key, to that
-    child; paths that reach the same key merge there. The walk touches no
-    pattern code.
+    packed polynomials (:func:`_packing`) keyed by the final a_{j+2}..a_r,
+    and pushes each, times the summed binomial products of level j leading
+    to a child key, to that child; paths that reach the same key merge
+    there. The walk touches no pattern code.
     """
     r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
-    state = {((0,) * (r + 1), 0, 0): {(): (1,)}}
+    width, binomial = _packing(lam)
+    state = {((0,) * (r + 1), 0, 0): {(): 1}}
     for j in range(r, 0, -1):
         below = {}
         for key, sums in state.items():
-            for child, poly in _fermionic_level(omegas, lam_t, j, key).items():
+            for child, poly in _fermionic_level(omegas, lam_t, j, key, binomial).items():
                 # a_{j+1} is final now; a_{r+1} = 0 is no coordinate.
                 _push(below, child, (child[2],) if j < r else (), poly, sums)
         state = below
@@ -447,8 +473,9 @@ def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
     for (_, a_1, a_2), sums in state.items():  # after level 1: (T, a_1, a_2)
         if a_1 >= a_2:
             for above, poly in sums.items():
-                _accumulate(weights, (a_1,) + above, poly)
-    return _dense_character(r, weights)
+                weight = (a_1,) + above
+                weights[weight] = weights.get(weight, 0) + poly
+    return _dense_character(r, weights, width)
 
 
 def character_fermionic(lam: DominantWeight) -> GradedCharacter:
@@ -508,24 +535,61 @@ def character_from_json(obj: dict) -> GradedCharacter:
     return ch
 
 
-def _orbit_runs(ch: GradedCharacter, expand: bool, render) -> dict:
+def _signed_steps(rest: tuple) -> list:
+    # The coordinates that can come next in a signed orbit's image whose
+    # unplaced absolute values are ``rest``, in descending order, each with
+    # the values left after it.
+    steps = []
+    for x in sorted({y for v in rest for y in (v, -v)}, reverse=True):
+        i = rest.index(abs(x))
+        steps.append((x, rest[:i] + rest[i + 1:]))
+    return steps
+
+
+def _own_step(rest: tuple) -> tuple:
+    # The one coordinate that comes next in a weight written as it is.
+    return ((rest[0], rest[1:]),)
+
+
+def _orbit_runs(ch: GradedCharacter, expand: bool, piece, finish=None) -> dict:
     # Per distinct weight of ``ch``: the sort keys of its images in descending
     # order (the signed orbit when expanding, else the weight alone) and each
-    # image rendered once. A key reads a weight as the digits, each of
-    # absolute value at most m, of a number in base 2m + 1, so keys order as
-    # their weights do lexicographically.
-    base = 2 * max((abs(x) for _, mu in ch.terms for x in mu), default=0) + 1
+    # image's text, the pieces piece(i, x) of its coordinates x (i from 0)
+    # joined and passed through ``finish`` when one is given. A key reads a
+    # weight as the digits, each of absolute value at most m, of a number in
+    # base 2m + 1, so keys order as their weights do lexicographically.
+    #
+    # Images are written already in descending order, with no set and no
+    # sort. The tails that complete an image from ``rest``, the multiset of
+    # absolute values still unplaced (without expansion, the rest of the
+    # weight), are each coordinate x that ``steps`` lets come next, in
+    # descending order, followed by the tails of what x leaves. So the tails
+    # are built one coordinate at a time from the empty one up, once per
+    # rest, and shared by every prefix and every weight that leaves it.
+    rank = ch.rank
+    m = max((abs(x) for _, mu in ch.terms for x in mu), default=0)
+    base = 2 * m + 1
+    pieces = [{x: piece(i, x) for x in range(-m, m + 1)} for i in range(rank)]
+    steps = cache(_signed_steps) if expand else _own_step
+    start = {mu: oracle.dominant_rep(mu) if expand else mu for _, mu in ch.terms}
+    levels = [set(start.values())]
+    for _ in range(rank):
+        levels.append({left for rest in levels[-1] for _, left in steps(rest)})
+    tails = {(): ([0], [""])}  # rest -> keys and texts of its tails
+    for level in reversed(levels[:-1]):
+        for rest in level:
+            scale, texts_at = base ** (len(rest) - 1), pieces[rank - len(rest)]
+            keys, texts = [], []
+            for x, left in steps(rest):
+                tail_keys, tail_texts = tails[left]
+                head, text = x * scale, texts_at[x]
+                keys += [head + key for key in tail_keys]
+                texts += [text + tail for tail in tail_texts]
+            tails[rest] = keys, texts
     runs = {}
-    for _, mu in ch.terms:
-        if mu not in runs:
-            images = sorted(oracle.signed_orbit(mu), reverse=True) if expand else [mu]
-            keys = []
-            for w in images:
-                key = 0
-                for x in w:
-                    key = key * base + x
-                keys.append(key)
-            runs[mu] = keys, [render(w) for w in images]
+    for mu, rest in start.items():
+        keys, texts = tails[rest]
+        runs[mu] = keys, list(map(finish, texts)) if finish else texts
     return runs
 
 
@@ -534,14 +598,15 @@ def _orbit_runs(ch: GradedCharacter, expand: bool, render) -> dict:
 _WRITE_LINES = 1 << 14
 
 
-def _write_runs(write, ch: GradedCharacter, expand: bool, render, groups, sep: str,
+def _write_runs(write, ch: GradedCharacter, expand: bool, image, groups, sep: str,
                 empty: str) -> None:
     # Each group lists (weight, pre, post) with distinct weights of ``ch``.
-    # Its lines, pre + rendered image + post over every image of its
-    # weights, go out in descending order of image, merged by one sort over
-    # the concatenated descending runs of keys. Groups are joined by ``sep``;
-    # when there is no line at all, ``empty`` is written instead.
-    runs = _orbit_runs(ch, expand, render)
+    # Its lines, pre + image text + post over every image of its weights,
+    # go out in descending order of image, merged by one sort over the
+    # concatenated descending runs of keys. ``image`` is the (piece, finish)
+    # pair that _orbit_runs renders images with. Groups are joined by
+    # ``sep``; when there is no line at all, ``empty`` is written instead.
+    runs = _orbit_runs(ch, expand, *image)
     written = False
     for group in groups:
         keys, texts, pres, posts = [], [], [], []
@@ -562,16 +627,21 @@ def _write_runs(write, ch: GradedCharacter, expand: bool, render, groups, sep: s
         write(empty)
 
 
-def _write_graded(write, ch: GradedCharacter, expand: bool, render, term, sep: str,
+def _write_graded(write, ch: GradedCharacter, expand: bool, image, term, sep: str,
                   empty: str = "") -> None:
     # Canonical order: ascending grade, then descending weight. A grade's
-    # line for an image of mu is pre + render(image) + post, with
-    # (pre, post) = term(grade, mult).
+    # line for an image of mu is pre + its text + post, with (pre, post) =
+    # term(grade, mult).
     by_grade = {}
     for (grade, mu), mult in ch.terms.items():
         by_grade.setdefault(grade, []).append((mu, *term(grade, mult)))
-    _write_runs(write, ch, expand, render, (by_grade[g] for g in sorted(by_grade)), sep,
+    _write_runs(write, ch, expand, image, (by_grade[g] for g in sorted(by_grade)), sep,
                 empty)
+
+
+def _joined(rank: int, sep: str, end: str) -> tuple:
+    # Images written as their coordinates joined by ``sep``, then ``end``.
+    return (lambda i, x: f"{x}{sep}" if i < rank - 1 else f"{x}{end}"), None
 
 
 def write_json(write, ch: GradedCharacter, expand: bool = False) -> None:
@@ -579,7 +649,7 @@ def write_json(write, ch: GradedCharacter, expand: bool = False) -> None:
     newline through ``write``, where ``full`` is ``ch``, or with ``expand``
     its orbit expansion, which is never built."""
     write(f'{{"rank": {ch.rank}, "terms": [')
-    _write_graded(write, ch, expand, (", ".join(["%d"] * ch.rank) + "]}").__mod__,
+    _write_graded(write, ch, expand, _joined(ch.rank, ", ", "]}"),
                   lambda grade, mult: (f'{{"grade": {grade}, "mult": {mult}, "weight": [', ""),
                   ", ")
     write("]}\n")
@@ -589,28 +659,24 @@ def write_csv(write, ch: GradedCharacter, expand: bool = False) -> None:
     """Write CSV with columns grade, a1..ar, mult, rows in canonical order,
     of ``ch`` or, with ``expand``, of its orbit expansion."""
     write("grade," + ",".join(f"a{i}" for i in range(1, ch.rank + 1)) + ",mult")
-    _write_graded(write, ch, expand, ",".join(["%d"] * ch.rank).__mod__,
+    _write_graded(write, ch, expand, _joined(ch.rank, ",", ""),
                   lambda grade, mult: (f"\n{grade},", f",{mult}"), "")
     write("\n")
-
-
-def _weight_linear(weight: Sequence[int], symbol: str, sub: str) -> str:
-    return _signed_sum((a, f"{symbol}{sub.format(i=i)}")
-                       for i, a in enumerate(weight, start=1) if a)
 
 
 def write_latex(write, ch: GradedCharacter, expand: bool = False) -> None:
     """Write the terms "m q^{s} e^{...}" in canonical order, joined by " + ",
     and a newline, of ``ch`` or, with ``expand``, of its orbit expansion."""
     _write_graded(write, ch, expand,
-                  lambda w: _weight_linear(w, r"\varepsilon_", "{{{i}}}") + "}",
+                  (lambda i, x: _signed_term(x, rf"\varepsilon_{{{i + 1}}}"),
+                   lambda terms: (terms.removeprefix("+") or "0") + "}"),
                   lambda grade, mult: (f"{mult} q^{{{grade}}} e^{{", ""), " + ", "0")
     write("\n")
 
 
-def _text_image(weight: Sequence[int]) -> str:
-    exp = _weight_linear(weight, "ε", "{i}")
-    return "1" if exp == "0" else f"e^{{{exp}}}"
+# A weight's display form: e^{...} over its signed sum of coordinates, or 1.
+_TEXT_IMAGE = (lambda i, x: _signed_term(x, f"ε{i + 1}"),
+               lambda terms: f"e^{{{terms.removeprefix('+')}}}" if terms else "1")
 
 
 def write_text(write, ch: GradedCharacter, expand: bool = False) -> None:
@@ -626,7 +692,7 @@ def write_text(write, ch: GradedCharacter, expand: bool = False) -> None:
     for mu, coeffs in by_weight.items():
         poly = QPolynomial(coeffs)
         group.append((mu, "" if poly == 1 else f"({poly})·", ""))
-    _write_runs(write, ch, expand, _text_image, [group], " + ", "0")
+    _write_runs(write, ch, expand, _TEXT_IMAGE, [group], " + ", "0")
     write("\n")
 
 

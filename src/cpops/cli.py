@@ -20,14 +20,14 @@ pops and monomials listings walk pattern chains, render each chain row and
 each gap block (the gap positions between two adjacent rows) once, and write
 their lines in batches of at most BATCH_LINES; the branch listings go out in
 the same batches. `char` computes only the dominant part of the character
-and writes the output from it, grade by grade, in bulk writes, rendering
-each image of a dominant weight's signed orbit once; the full character is
-never built. Exit status is 0 on success, 1 when a requested check fails, 2
-on usage errors (a --max-total too large to sweep and a dimension too long
-to print among them), 3 on an internal error (one stderr line, no
-traceback), 141 when the reader closes stdout early. A command's process
-ends right after stdout and stderr are flushed, without interpreter
-teardown, so no `atexit` hook runs.
+and writes the output from it, grade by grade, in bulk writes; each
+dominant weight's signed orbit is generated already in descending order,
+each image rendered once, and the full character is never built. Exit
+status is 0 on success, 1 when a requested check fails, 2 on usage errors
+(a --max-total too large to sweep and a dimension too long to print among
+them), 3 on an internal error (one stderr line, no traceback), 141 when the
+reader closes stdout early. A command's process ends right after stdout and
+stderr are flushed, without interpreter teardown, so no `atexit` hook runs.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def test_c7_branching():
 
         if w.rank < 2:
             continue
-        terms = weyl_filtration(w)
+        terms = list(weyl_filtration(w))
         booked = sum(
             t.mult * pop_count_formula(DominantWeight(t.target))
             for t in terms)

@@ -66,12 +66,12 @@ def test_branch_cardinalities():
 
 
 def test_weyl_filtration_zero_weight():
-    terms = weyl_filtration(DominantWeight.from_omegas((0, 0)))
+    terms = list(weyl_filtration(DominantWeight.from_omegas((0, 0))))
     assert terms == [FiltrationTerm((0, 0), (0,), 1, (0,))]
 
 
 def test_weyl_filtration_omega2_example():
-    terms = weyl_filtration(DominantWeight.from_omegas((0, 1)))
+    terms = list(weyl_filtration(DominantWeight.from_omegas((0, 1))))
     assert terms == [
         FiltrationTerm((0, 0), (0,), 1, (1,)),
         FiltrationTerm((0, 1), (0,), 1, (1,)),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from math import comb
@@ -8,7 +9,10 @@ import pytest
 from cpops.characters import (
     GradedCharacter,
     QPolynomial,
-    _weight_linear,
+    _dense_character,
+    _orbit_runs,
+    _packed,
+    _packing,
     box_generating_function,
     character_direct,
     character_fermionic,
@@ -30,7 +34,13 @@ from cpops.characters import (
     write_text,
 )
 from cpops.oracle import signed_orbit
-from cpops.pops import enumerate_pops, partitions_in_box, pop_boxes, pop_weight
+from cpops.pops import (
+    enumerate_pops,
+    partitions_in_box,
+    pop_boxes,
+    pop_count_formula,
+    pop_weight,
+)
 from cpops.rootsys import DominantWeight, sweep_dominant_weights
 
 
@@ -202,9 +212,11 @@ def test_characters_equal_per_pop_accumulation():
 def test_methods_share_no_enumeration(monkeypatch):
     # The direct method uses none of the fermionic walk's helpers, the
     # fermionic one no pattern code and none of the direct walk's helpers;
-    # each still runs with the other's tools broken. Both walks share the
-    # Gaussian-binomial kernel _binomial_coeffs, which this test cannot
-    # break; _box_recurrence and the partitions_in_box enumeration check it.
+    # each still runs with the other's tools broken. Both walks share
+    # arithmetic, which this test cannot break: the Gaussian-binomial kernel
+    # _binomial_coeffs, which _box_recurrence and the partitions_in_box
+    # enumeration check, and the packed-binomial memo of _packing, which
+    # packs its rows; test_packed_values_unpack_exactly checks the packing.
     from cpops import characters
 
     def broken(*args):
@@ -219,6 +231,52 @@ def test_methods_share_no_enumeration(monkeypatch):
     for name in ("interlacing_rows", "box_generating_function", "_gap_boxes"):
         monkeypatch.setattr(characters, name, broken)
     assert character_fermionic(w) == expected
+
+
+def test_packed_values_unpack_exactly():
+    # Field widths are whole bytes. A top coefficient 2^W - 1 fills its
+    # field; zero fields sit inside and at the constant term.
+    for width in (8, 16, 24, 72):
+        top = (1 << width) - 1
+        coeffs = [0, top, 0, 0, 5, 1, top]
+        value = sum(c << width * e for e, c in enumerate(coeffs))
+        assert _packed(coeffs, width) == value
+        ch = _dense_character(2, {(3, 1): value, (0, 0): 1 << width * 3}, width)
+        assert ch.terms == {(1, (3, 1)): top, (4, (3, 1)): 5, (5, (3, 1)): 1,
+                            (6, (3, 1)): top, (3, (0, 0)): 1}
+        # A coefficient beyond its field carries into the fields above.
+        wide = [top + 2, 1 << 2 * width, 0, 3]
+        assert _packed(wide, width) == sum(c << width * e for e, c in enumerate(wide))
+    for omegas in ((0,), (1, 1), (2, 2, 1), (1, 1, 1, 1, 1, 1), (200,)):
+        width = _packing(DominantWeight.from_omegas(omegas))[0]
+        assert width % 8 == 0
+        assert pop_count_formula(DominantWeight.from_omegas(omegas).lam) < 1 << width
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_orbit_runs_write_signed_orbits_in_descending_order(rank):
+    # Every dominant weight of the rank with entries at most 3, zeros,
+    # repeated and all-equal values among them, in one character, so that
+    # the weights share the tails they leave: images and keys in base 7
+    # against the sorted signed orbit, then the weights alone.
+    weights = list(itertools.combinations_with_replacement(range(3, -1, -1), rank))
+    ch = GradedCharacter(rank, {(0, mu): 1 for mu in weights})
+
+    def key(w):
+        out = 0
+        for x in w:
+            out = out * 7 + x
+        return out
+
+    def text(w):
+        return "".join(f"{x} " for x in w)
+
+    runs = _orbit_runs(ch, True, lambda i, x: f"{x} ")
+    for mu in weights:
+        images = sorted(signed_orbit(mu), reverse=True)
+        assert runs[mu] == ([key(w) for w in images], [text(w) for w in images]), mu
+    runs = _orbit_runs(ch, False, lambda i, x: f"{x} ")
+    assert runs == {mu: ([key(mu)], [text(mu)]) for mu in weights}
 
 
 # SHA-256 of json.dumps(character_to_json(dominant part), sort_keys=True),
@@ -399,6 +457,18 @@ def test_render_formats_smoke():
 
 # The renderings of a character as the writers had them before they wrote
 # from the dominant part, term by term over the canonical order.
+def _linear(weight, symbol):
+    # The sum of a_i symbol_i over the non-zero coordinates: the first term
+    # keeps its own sign, a coefficient of +-1 prints without the 1, and no
+    # terms print 0.
+    out = ""
+    for i, a in enumerate(weight, start=1):
+        if a:
+            sign = "-" if a < 0 else "+" if out else ""
+            out += sign + ("" if abs(a) == 1 else str(abs(a))) + symbol.format(i=i)
+    return out or "0"
+
+
 def _reference_csv(ch):
     lines = ["grade," + ",".join(f"a{i}" for i in range(1, ch.rank + 1)) + ",mult"]
     for (grade, weight), mult in ch.canonical_terms():
@@ -409,7 +479,7 @@ def _reference_csv(ch):
 def _reference_latex(ch):
     pieces = []
     for (grade, weight), mult in ch.canonical_terms():
-        linear = _weight_linear(weight, r"\varepsilon_", "{{{i}}}")
+        linear = _linear(weight, r"\varepsilon_{{{i}}}")
         pieces.append(f"{mult} q^{{{grade}}} e^{{{linear}}}")
     return " + ".join(pieces) if pieces else "0"
 
@@ -421,7 +491,7 @@ def _reference_text(ch):
     pieces = []
     for weight in sorted(by_weight, reverse=True):
         poly = QPolynomial(by_weight[weight])
-        exp = _weight_linear(weight, "ε", "{i}")
+        exp = _linear(weight, "ε{i}")
         body = "1" if exp == "0" else f"e^{{{exp}}}"
         pieces.append(body if poly == 1 else f"({poly})·{body}")
     return " + ".join(pieces) if pieces else "0"

@@ -267,10 +267,11 @@ def test_char_closed_stdout_exits_141_quietly():
      ["char", "--method", "both", "--omegas", "1,1"],
      (1, "", "character mismatch between direct and fermionic methods\n")),
     # main does not flush stdout on an internal error; run writes what was
-    # written before it: char's JSON header goes out before the first orbit.
-    ("import cpops.oracle\n"
-     "def orbit(mu):\n    raise RuntimeError('no\\n  orbit')\n"
-     "cpops.oracle.signed_orbit = orbit",
+    # written before it: char's JSON header goes out before the first orbit,
+    # whose images come from characters._signed_steps.
+    ("import cpops.characters\n"
+     "def orbit(rest):\n    raise RuntimeError('no\\n  orbit')\n"
+     "cpops.characters._signed_steps = orbit",
      ["char", "--format", "json", "--omegas", "1"],
      (3, '{"rank": 1, "terms": [', "cpops: internal error: RuntimeError: no orbit\n")),
 ], ids=["ok", "mismatch", "internal-error"])
