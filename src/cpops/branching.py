@@ -4,9 +4,10 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern and walks no pattern chain: :func:`count_chains`
-counts the patterns and overlaid patterns under each row in one pass down the
-rows, the top block's partitions are listed once per row under the top, and
+It builds no overlaid pattern and walks no pattern chain: :func:`count_table`
+counts the patterns and overlaid patterns under every row of lambda's chains
+in one pass down the rows and one back up, the top block's partitions are
+listed once per row under the top, and
 the weight check is a pass down lambda's rows that counts chains by their
 running weight difference. The character checks compare dominant parts: each
 graded piece is invariant under signed permutations, so a term or a
@@ -63,7 +64,6 @@ from .rootsys import (
     WeightVector,
     lambda_to_omegas,
     lambda_tuple,
-    root_vector,
 )
 
 
@@ -132,6 +132,27 @@ class CheckResult(namedtuple("CheckResult", "check status lhs rhs witness",
             obj["witness"] = self.witness
         return obj
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())``, written out: the check and status
+        are plain names and lhs and rhs integers or None, so only a witness
+        needs json's quoting."""
+        text = (f'{{"check": "{self.check}", "status": "{self.status}", '
+                f'"lhs": {_int_or_null(self.lhs)}, "rhs": {_int_or_null(self.rhs)}')
+        if self.witness is not None:
+            import json  # only a failed check has a witness
+
+            text += f', "witness": {json.dumps(self.witness)}'
+        return text + "}"
+
+
+def _int_or_null(value) -> str:
+    return "null" if value is None else str(value)
+
+
+def _int_array(values) -> str:
+    # json.dumps of a sequence of ints.
+    return "[" + ", ".join(map(str, values)) + "]"
+
 
 class Report:
     """The checks run on one weight, in order."""
@@ -155,6 +176,14 @@ class Report:
             "checks": [entry.to_json() for entry in self.entries],
         }
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())``, written out without json."""
+        weight = self.weight
+        checks = ", ".join([entry.json_text() for entry in self.entries])
+        return (f'{{"rank": {weight.rank}, "omegas": {_int_array(weight.omegas)}, '
+                f'"lambda": {_int_array(weight.lam)}, '
+                f'"ok": {"true" if self.ok else "false"}, "checks": [{checks}]}}')
+
     def to_text(self) -> str:
         head = f"lambda={self.weight.lam} (omegas={self.weight.omegas})"
         lines = [head]
@@ -175,36 +204,62 @@ def _diff_witness(a: dict, b: dict, label: str) -> str | None:
 
 
 def _block_count(lower: tuple, upper: tuple) -> int:
-    # The overlays of a gap block: the product of its boxes' partition counts.
-    return prod([comb(ell + ellp, ell) for _, (ell, ellp) in gap_block(lower, upper)])
+    # The overlays of a gap block: the product of its boxes' partition counts,
+    # comb(ell + ellp, ell) with ell + ellp = upper_i - upper_{i+1}.
+    return prod(map(comb, map(operator.sub, upper, upper[1:] + (0,)),
+                    map(operator.sub, upper, lower)))
+
+
+def count_table(bounding, restricted: bool = False) -> dict:
+    """(row, restricted) -> (patterns, overlaid patterns) bounded by that
+    row, for every row of the chains under ``bounding``: a full (lambda) row
+    has the key False and a restricted (eta) row the key True. One pass down
+    the rows collects each level's rows; one pass back up sums, for each row,
+    the counts of the rows under it, their overlays multiplied by the gap
+    block's :func:`_block_count`. No chain is listed and nothing recurses.
+    The empty row, of either kind, bounds the one rank-0 pattern."""
+    top = lambda_tuple(bounding) if bounding else ()
+    # Row k of a chain is a lambda row when k is odd. levels holds, from the
+    # top down to k = 0, each row of a level with the rows under it.
+    levels, rows = [], {top} if top else ()
+    for k in range(2 * len(top) - 1 - restricted, -1, -1):
+        levels.append({row: tuple(interlacing_rows(row + (0,) if k % 2 else row))
+                       for row in rows})
+        rows = set().union(*levels[-1].values())
+    counts = {(): (1, 1)}
+    table = {((), False): (1, 1), ((), True): (1, 1)}
+    for k, level in enumerate(reversed(levels)):
+        for row, lowers in level.items():
+            n = overlays = 0
+            for lower in lowers:
+                m, o = counts[lower]
+                n += m
+                overlays += o * _block_count(lower, row)
+            level[row] = n, overlays  # the row's counts replace its lowers
+        counts = level
+        table.update(((row, not k % 2), n) for row, n in level.items())
+    return table
 
 
 def count_chains(bounding, restricted: bool = False) -> tuple:
     """The number of full (or restricted) patterns bounded by ``bounding``
-    and of their overlaid patterns, in one pass down the rows: each row
-    keeps the chains above it and their overlays, and the row under it
-    multiplies the overlays by the gap block's :func:`_block_count`. No
-    chain is listed. The empty row bounds the one rank-0 pattern."""
+    and of their overlaid patterns: its entry in :func:`count_table`."""
     top = lambda_tuple(bounding) if bounding else ()
-    level = {top: (1, 1)}
-    for k in range(2 * len(top) - 1 - restricted, 0, -1):
-        below = {}
-        for row, (n, overlays) in level.items():
-            for lower in interlacing_rows(row + (0,) if k % 2 else row):
-                m, o = below.get(lower, (0, 0))
-                below[lower] = (m + n, o + overlays * _block_count(lower, row))
-        level = below
-    return tuple(map(sum, zip(*level.values())))
+    return count_table(top, restricted)[top, restricted]
 
 
 def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
     # The root expansion of a gap block: the sum of ell * root(position) over
-    # its positions.
+    # its positions, the root at (i, j, barred) eps_i + eps_j when barred and
+    # eps_i - eps_{j+1} when not (rootsys.root_vector).
     acc = [0] * rank
-    for pos, (ell, _) in gap_block(lower, upper):
+    for (i, j, barred), (ell, _) in gap_block(lower, upper):
         if ell:
-            for t, x in enumerate(root_vector(pos, rank)):
-                acc[t] += ell * x
+            acc[i - 1] += ell
+            if barred:
+                acc[j - 1] += ell
+            else:
+                acc[j] -= ell
     return tuple(acc)
 
 
@@ -278,16 +333,16 @@ def _restricted_at_q1(terms: dict) -> Counter:
     return out
 
 
-def _top_block_walk(row: tuple, restricted: bool, totals) -> tuple:
+def _top_block_walk(row: tuple, restricted: bool, table: dict) -> tuple:
     # The (restricted) patterns bounded by ``row``: their number and their
     # overlaid patterns counted by top block (ells, parts), the last
     # len(row) - restricted gaps, between the top row and the one under it.
     # Each row under the top lists its top-block partitions once and reads
-    # the chains under it, of the other kind, from ``totals``, a
-    # functools.cache of count_chains.
+    # the chains under it, of the other kind, from ``table``, a count_table
+    # that holds those rows.
     n, groups = 0, Counter()
     for lower in interlacing_rows(row if restricted else row + (0,)):
-        patterns, overlays = totals(lower, not restricted)
+        patterns, overlays = table[lower, not restricted]
         n += patterns
         boxes = [box for _, box in gap_block(lower, row)]
         ells = tuple([ell for ell, _ in boxes])
@@ -315,9 +370,10 @@ def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
 def verify_identities(lam: DominantWeight) -> Report:
     """Run every identity the package asserts for one dominant weight and
     report each as ok, fail, or skipped (when the rank is too small for it).
-    Overlaid patterns are counted by box products, never built: each (row,
-    kind) count is one :func:`count_chains` pass, computed once per call,
-    and the weight check counts lambda's chains in one pass down its rows.
+    Overlaid patterns are counted by box products, never built: every (row,
+    kind) count is read from one :func:`count_table` of lambda, computed once
+    per call, and the weight check counts lambda's chains in one pass down
+    its rows.
     Characters are compared on their dominant parts; every total is that of
     the orbit expansion, which is never built."""
     r = lam.rank
@@ -328,8 +384,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
     # The memos are made afresh on each call, so a long sweep grows none.
-    totals = functools.cache(count_chains)
-    walk = functools.cache(functools.partial(_top_block_walk, totals=totals))
+    walk = functools.cache(functools.partial(_top_block_walk, table=count_table(lam)))
     n_patterns = walk(lam.lam, False)[0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 

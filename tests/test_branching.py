@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 
 import pytest
 
 from cpops import branching, characters, oracle, patterns, pops
 from cpops.branching import (
+    CheckResult,
     FiltrationTerm,
     shtepin_branch_l,
     shtepin_branch_v,
@@ -161,6 +163,20 @@ def test_report_serialization():
     assert "pattern-count-vs-weyl-dim" in text
 
 
+def test_json_text_is_json_dumps():
+    # The reports are written without json; the text is json.dumps's, byte
+    # for byte, skipped checks (lhs and rhs None) included.
+    reports = [verify_identities(w) for w in sweep_dominant_weights(3, 3)]
+    reports.append(verify_identities(DominantWeight.from_omegas((2,))))
+    assert any(e.status == "skipped" for e in reports[-1].entries)
+    assert "[" + ", ".join(r.json_text() for r in reports) + "]" == json.dumps(
+        [r.to_json() for r in reports])
+    for entry in (CheckResult("hand-made", "fail", 3, 4, 'a "b" \\ c\nd \u00e9\u2203'),
+                  CheckResult("hand-made", "skipped"),
+                  CheckResult("hand-made", "ok", 10 ** 40, -1)):
+        assert entry.json_text() == json.dumps(entry.to_json()), entry
+
+
 def _after(fn, change):
     def faulty(arg):
         out = fn(arg)
@@ -207,9 +223,10 @@ VERIFY_FAULTS = {
         {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
     # Restricted counts lose one pattern, with its one overlaid pattern.
     "restricted-patterns-drops-last": (
-        "count_chains",
-        lambda f: lambda row, restricted=False: tuple(
-            x - restricted for x in f(row, restricted)),
+        "count_table",
+        lambda f: lambda row, restricted=False: {
+            key: tuple(x - key[1] for x in counts)
+            for key, counts in f(row, restricted).items()},
         {"pattern-count-vs-weyl-dim", "pop-refinement-by-top-block",
          "restricted-refinement-by-top-block",
          "irreducible-dim-vs-intermediate-sum",
@@ -232,6 +249,7 @@ def test_verify_identities_reports_each_fault(monkeypatch, fault):
     # Equal summaries with different maps fail through the witness alone,
     # and a check that compares maps names where they differ.
     assert all(e.witness for e in failed if e.lhs == e.rhs or e.check in MAP_CHECKS)
+    assert report.json_text() == json.dumps(report.to_json())
 
 
 def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
@@ -242,22 +260,29 @@ def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
 
 
 def test_verify_identities_walks_each_stream_once(monkeypatch):
-    passes, chains = Counter(), Counter()
+    tables, blocks, chains = Counter(), Counter(), Counter()
 
-    def counted(row, restricted=False, count=branching.count_chains):
-        passes[tuple(row), restricted] += 1
+    def counted(row, restricted=False, count=branching.count_table):
+        tables[tuple(row), restricted] += 1
         return count(row, restricted)
+
+    def block(lower, upper, count=branching._block_count):
+        blocks[lower, upper] += 1
+        return count(lower, upper)
 
     def walked(row, restricted, walk=patterns.pattern_chains):
         chains[tuple(row), restricted] += 1
         return walk(row, restricted)
-    monkeypatch.setattr(branching, "count_chains", counted)
+    monkeypatch.setattr(branching, "count_table", counted)
+    monkeypatch.setattr(branching, "_block_count", block)
     monkeypatch.setattr(patterns, "pattern_chains", walked)
     lam = DominantWeight.from_omegas((1, 1, 1))
     assert verify_identities(lam).ok
-    # Each (row, kind) count is one count_chains pass, and no check walks
-    # a pattern chain, not even the weight check.
-    assert passes and set(passes.values()) == {1}
+    # Every (row, kind) count comes from one count_table of lambda, which
+    # reads each row pair's block count once, and no check walks a pattern
+    # chain, not even the weight check.
+    assert tables == {(lam.lam, False): 1}
+    assert blocks and set(blocks.values()) == {1}
     assert not chains
 
 

@@ -642,6 +642,61 @@ def test_commands_never_import_argparse():
     assert out.splitlines()[-1] == "False"
 
 
+def test_json_commands_never_import_json():
+    # count, branch and verify write their JSON as text, about 2 ms of
+    # start-up less; json is imported only to quote a failed check's witness.
+    # In a child interpreter, because pytest imports json.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    commands = [["verify", "--format", "json", "--omegas", "1,1"],
+                ["count", "--restricted", "--format", "json", "--omegas", "1,1"],
+                ["branch", "--format", "json", "--omegas", "1,1"],
+                ["branch", "--kind", "shtepin-v", "--format", "json", "--omegas", "1,1"]]
+    script = (f"import sys; sys.path.insert(0, {src!r}); from cpops import cli; "
+              f"codes = [cli.main(argv) for argv in {commands!r}]; "
+              "print(codes, 'json' in sys.modules)")
+    out = subprocess.run([sys.executable, "-E", "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    assert json.loads(out[0])[0]["ok"] is True
+    assert out[-1] == "[0, 0, 0, 0] False"
+
+
+def test_count_and_branch_json_are_json_dumps(capsys):
+    # Written without json, each line is json.dumps(..., sort_keys=True) of
+    # what it holds.
+    for w in sweep_dominant_weights(3, 2):
+        lam = ",".join(map(str, w.lam))
+        for argv in (("count", "--restricted"), ("branch",), ("branch", "--kind", "shtepin-v"),
+                     ("branch", "--kind", "shtepin-l")):
+            code, out, _ = run_cli(capsys, *argv, "--format", "json", "--lambdas", lam)
+            assert code == 0 and out.endswith("\n"), (argv, w)
+            for line in out.splitlines():
+                assert line == json.dumps(json.loads(line), sort_keys=True), (argv, w)
+
+
+def test_verify_streams_each_report(capsys, monkeypatch):
+    # Each weight's report is written before the next weight is checked.
+    checked = []
+
+    def check(weight, verify=branching.verify_identities):
+        checked.append((weight, capsys.readouterr().out))
+        return verify(weight)
+    monkeypatch.setattr(cli, "verify_identities", check)
+    for fmt in ("json", "text"):
+        checked.clear()
+        code, out, _ = run_cli(capsys, "verify", "--format", fmt, "--rank", "2",
+                               "--max-total", "1")
+        assert code == 0 and len(checked) == 3
+        written = [text for _, text in checked[1:]]
+        assert all(written), fmt
+        if fmt == "json":
+            assert checked[0][1] == "[" and written[0].startswith("{")
+            assert written[1].startswith(", {") and out.startswith(", {")
+            assert out.endswith("}]\n")
+        else:
+            assert checked[0][1] == "" and out.startswith("lambda=")
+            assert out.endswith("verified 3 weight(s), 0 failure(s)\n")
+
+
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     def broken(weight):
         raise RuntimeError("injected\nfailure")

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from cpops.oracle import (
+    _root_orbits,
     dominant_freudenthal,
     dominant_rep,
     dominant_weights_below,
@@ -15,13 +16,25 @@ from cpops.oracle import (
     weyl_dim,
 )
 from cpops.patterns import enumerate_patterns, pattern_weight
-from cpops.rootsys import DominantWeight, sweep_dominant_weights
+from cpops.rootsys import DominantWeight, inner, positive_roots, sweep_dominant_weights
 
 
 def test_weyl_dim_examples():
     assert weyl_dim(DominantWeight.from_omegas((0, 0))) == 1
     assert weyl_dim(DominantWeight.from_omegas((0, 1))) == 5
     assert weyl_dim(DominantWeight.from_omegas((1, 1))) == 16
+
+
+def test_weyl_dim_is_the_product_over_positive_roots():
+    for r in range(1, 7):
+        rho = tuple(range(r, 0, -1))
+        for w in sweep_dominant_weights(r, 3):
+            shifted = tuple(a + b for a, b in zip(w.lam, rho))
+            num = den = 1
+            for alpha in positive_roots(r):
+                num *= inner(shifted, alpha)
+                den *= inner(rho, alpha)
+            assert weyl_dim(w) * den == num, w
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -107,6 +120,69 @@ def test_dominant_freudenthal_closes_to_the_weights_of_patterns():
             counted = Counter(pattern_weight(p) for p in enumerate_patterns(w))
             assert {x: m for mu, m in mults.items() for x in signed_orbit(mu)} == counted, w
             assert sum(m * orbit_size(mu) for mu, m in mults.items()) == weyl_dim(w), w
+
+
+def _per_root_freudenthal(lam):
+    # Reference: Freudenthal's recursion with one k-string per positive root,
+    # every pairing taken on full vectors.
+    top, rho = lam.lam, tuple(range(lam.rank, 0, -1))
+    roots = positive_roots(lam.rank)
+    top_norm = inner(top, top)
+    shifted_top = tuple(a + b for a, b in zip(top, rho))
+    mults = {top: 1}
+    for mu in dominant_weights_below(lam):
+        if mu == top:
+            continue
+        numerator = 0
+        for alpha in roots:
+            k = 1
+            while True:
+                v = tuple(a + k * b for a, b in zip(mu, alpha))
+                if inner(v, v) > top_norm:
+                    break
+                numerator += inner(v, alpha) * mults.get(dominant_rep(v), 0)
+                k += 1
+        shifted = tuple(a + b for a, b in zip(mu, rho))
+        value, rest = divmod(2 * numerator,
+                             inner(shifted_top, shifted_top) - inner(shifted, shifted))
+        assert rest == 0, mu
+        if value:
+            mults[mu] = value
+    return mults
+
+
+def test_dominant_freudenthal_matches_the_per_root_recursion():
+    weights = [w for r, t in ((2, 6), (3, 4), (4, 3)) for w in sweep_dominant_weights(r, t)]
+    weights += [DominantWeight.from_omegas([int(k == i) for k in range(r)])
+                for r in range(1, 11) for i in range(r)]
+    for w in weights:
+        mults = dominant_freudenthal(w)
+        assert mults == _per_root_freudenthal(w), w
+        assert sum(m * orbit_size(mu) for mu, m in mults.items()) == weyl_dim(w), w
+
+
+def test_root_orbits_partition_the_positive_roots():
+    # Each orbit's size is the number of positive roots that the stabilizer
+    # of mu (a signed permutation fixing mu) carries its root to, up to sign.
+    for r in range(1, 6):
+        for w in sweep_dominant_weights(r, 3):
+            mu = w.lam
+            stabilizer = [(perm, signs) for perm in itertools.permutations(range(r))
+                          for signs in itertools.product((1, -1), repeat=r)
+                          if all(s * mu[p] == x for p, s, x in zip(perm, signs, mu))]
+            positive = set(positive_roots(r))
+            seen = set()
+            for i, j, s, size in _root_orbits(mu):
+                alpha = [0] * r
+                alpha[i] += 1
+                alpha[j] += s
+                orbit = {tuple(sg * alpha[p] for p, sg in zip(perm, signs))
+                         for perm, signs in stabilizer}
+                orbit |= {tuple(-x for x in beta) for beta in orbit}
+                assert len(orbit & positive) == size, (mu, i, j, s)
+                assert not orbit & seen, (mu, i, j, s)
+                seen |= orbit & positive
+            assert seen == positive, mu
 
 
 def test_orbit_size_matches_signed_orbit():

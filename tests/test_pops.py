@@ -1,16 +1,16 @@
-import functools
 import itertools
 from collections import Counter
 from math import comb
 
 import pytest
 
-from cpops.branching import _top_block_walk, count_chains, shtepin_branch_v
+from cpops.branching import _top_block_walk, count_chains, count_table, shtepin_branch_v
 from cpops.patterns import (
     PatternC,
     differences,
     enumerate_patterns,
     enumerate_restricted_patterns,
+    pattern_chains,
     pattern_weight,
 )
 from cpops.pops import (
@@ -305,6 +305,24 @@ def test_count_chains_equals_the_listings():
     assert count_chains(()) == count_chains((), True) == (1, 1)
 
 
+def test_count_table_holds_every_row_under_the_top():
+    # One pass down and one back up count the chains under every row of the
+    # top's chains, of both kinds, as the listings bounded by that row do.
+    for w in [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]:
+        for restricted in (False, True):
+            table = count_table(w, restricted)
+            assert set(table) == {((), False), ((), True)} | {
+                (rows[k], not k % 2) for rows in pattern_chains(w, restricted)
+                for k in range(len(rows))}
+            for (row, eta), counts in table.items():
+                if not row:
+                    assert counts == (1, 1)
+                    continue
+                pops = enumerate_restricted_pops if eta else enumerate_pops
+                assert counts == (sum(1 for _ in pattern_chains(row, eta)),
+                                  sum(1 for _ in pops(row))), (w, row, eta)
+
+
 def test_refinement_by_top_block_small():
     # splitting the overlaid patterns on their top barred block reproduces
     # the admissible block set crossed with restricted enumerations, and the
@@ -320,9 +338,10 @@ def test_refinement_by_top_block_small():
                 expected[(ells, parts)] = sum(
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
-            assert _top_block_walk(w.lam, False, functools.cache(count_chains)) == (
+            table = count_table(w)
+            assert _top_block_walk(w.lam, False, table) == (
                 sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
-                assert _top_block_walk(eta, True, functools.cache(count_chains)) == (
+                assert _top_block_walk(eta, True, table) == (
                     sum(1 for _ in enumerate_restricted_patterns(eta)),
                     _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta
