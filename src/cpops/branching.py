@@ -6,13 +6,12 @@ identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
 It builds no overlaid pattern and walks no pattern chain: :func:`count_table`
 counts the patterns and overlaid patterns under every row of lambda's chains
-in one pass down the rows and one back up, the top block's partitions are
-listed once per row under the top, and
-the weight check is a pass down lambda's rows that counts chains by their
-running weight difference. The character checks compare dominant parts: each
-graded piece is invariant under signed permutations, so a term or a
-multiplicity at a dominant weight stands for its whole orbit, counted by
-:func:`orbit_size`.
+in one pass up its :func:`~cpops.patterns.row_levels`, the top block's
+partitions are listed once per row under the top, and the weight check is a
+pass down those levels that counts chains by their running weight difference.
+The character checks compare dominant parts: each graded piece is invariant
+under signed permutations, so a term or a multiplicity at a dominant weight
+stands for its whole orbit, counted by :func:`orbit_size`.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .patterns import (  # noqa: F401
     gap_block,
     interlacing_rows,
     pattern_to_json,
+    row_levels,
 )
 # enumerate_pops and enumerate_restricted_pops are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
@@ -213,22 +213,16 @@ def _block_count(lower: tuple, upper: tuple) -> int:
 def count_table(bounding, restricted: bool = False) -> dict:
     """(row, restricted) -> (patterns, overlaid patterns) bounded by that
     row, for every row of the chains under ``bounding``: a full (lambda) row
-    has the key False and a restricted (eta) row the key True. One pass down
-    the rows collects each level's rows; one pass back up sums, for each row,
-    the counts of the rows under it, their overlays multiplied by the gap
-    block's :func:`_block_count`. No chain is listed and nothing recurses.
-    The empty row, of either kind, bounds the one rank-0 pattern."""
+    has the key False and a restricted (eta) row the key True. One pass up
+    the :func:`~cpops.patterns.row_levels` of ``bounding`` sums, for each
+    row, the counts of the rows under it, their overlays multiplied by the
+    gap block's :func:`_block_count`. No chain is listed and nothing
+    recurses. The empty row, of either kind, bounds the one rank-0 pattern."""
     top = lambda_tuple(bounding) if bounding else ()
-    # Row k of a chain is a lambda row when k is odd. levels holds, from the
-    # top down to k = 0, each row of a level with the rows under it.
-    levels, rows = [], {top} if top else ()
-    for k in range(2 * len(top) - 1 - restricted, -1, -1):
-        levels.append({row: tuple(interlacing_rows(row + (0,) if k % 2 else row))
-                       for row in rows})
-        rows = set().union(*levels[-1].values())
     counts = {(): (1, 1)}
     table = {((), False): (1, 1), ((), True): (1, 1)}
-    for k, level in enumerate(reversed(levels)):
+    # Row k of a chain, counted from the bottom, is a lambda row when k is odd.
+    for k, level in enumerate(reversed(row_levels(top, restricted))):
         for row, lowers in level.items():
             n = overlays = 0
             for lower in lowers:
@@ -281,7 +275,7 @@ def _weight_step(rank: int, lower: tuple, upper: tuple) -> WeightVector:
 def _weight_walk(lam: tuple) -> tuple:
     # Lambda's full chains, counted by their weight difference d = lam minus
     # the root expansions of the gap blocks minus chain_weight, in one pass
-    # down the rows keyed (row, d so far), each step read from a memo of
+    # down row_levels keyed (row, d so far), each step read from a memo of
     # _weight_step. Returns (chains, chains with d = 0, witness), the witness
     # None or one chain with d != 0, rebuilt from the first (row, d) key that
     # reached each key.
@@ -289,11 +283,11 @@ def _weight_walk(lam: tuple) -> tuple:
     steps = functools.cache(functools.partial(_weight_step, r))
     start = (lam, lam[:-1] + (lam[-1] + sum(lam),))  # lam^r adds -|lam| at a_r
     level, parents = {start: 1}, []
-    for k in range(2 * r - 1, 0, -1):
+    for under in row_levels(lam)[:-1]:
         below, back = {}, {}
         for key, n in level.items():
             row, d = key
-            for lower in interlacing_rows(row + (0,) if k % 2 else row):
+            for lower in under[row]:
                 child = (lower, tuple(map(operator.sub, d, steps(lower, row))))
                 if child in below:
                     below[child] += n

@@ -42,7 +42,7 @@ from functools import cache, lru_cache, partial
 from operator import add
 
 from . import oracle
-from .patterns import _json_field, _json_ints, interlacing_rows
+from .patterns import _json_field, _json_ints, row_levels
 # enumerate_pops, pop_boxes and pop_weight are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import enumerate_pops, pop_boxes, pop_count_formula, pop_weight  # noqa: F401
@@ -357,29 +357,29 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     lam^j and lam^{j-1} under eta^j, and is memoized row by row. Choosing
     lam^{j-1} fixes a_j = 2|eta^j| - |lam^j| - |lam^{j-1}|, which must be at
     least a_{j+1} (a_{r+1} = 0; lam^0 is empty). So the rest of the sum
-    depends on a lam^j row only through (lam^j, a_{j+1}), and on an eta^j row
-    through (eta^j, |lam^j|, a_{j+1}). One pass down the rows keeps, per key
-    of the current row, packed polynomials (:func:`_packing`) keyed by the
-    coordinates a_{j+1}..a_r fixed above it, and pushes each, times the
-    product of box generating functions of the row pair (memoized per
-    pair), to every child key; paths that reach the same key merge there.
-    Each box generating function is a Gaussian binomial, packed from the
-    rows that the fermionic walk also reads.
+    depends on a lam^j row only through (lam^j, a_{j+1}), and on an eta^j
+    row through (eta^j, |lam^j|, a_{j+1}). One pass down :func:`row_levels`
+    keeps, per key of the current row, packed polynomials (:func:`_packing`)
+    keyed by the coordinates a_{j+1}..a_r fixed above it, and pushes each,
+    times the product of box generating functions of the row pair (memoized
+    per pair), to every child key; paths that reach the same key merge
+    there. Each box generating function is a Gaussian binomial, packed from
+    the rows that the fermionic walk also reads.
     """
     width, binomial = _packing(lam)
     boxes = cache(partial(_gap_boxes, binomial=binomial))
     state = {(lam.lam, 0): {(): 1}}
-    for k in range(2 * lam.rank):
+    for k, under in enumerate(row_levels(lam.lam)):
         below = {}
         for key, sums in state.items():
             if k % 2 == 0:  # (lam^j, a_{j+1}) -> eta^j
                 row, a_next = key
                 upper = row + (0,)
-                for eta in interlacing_rows(upper):
+                for eta in under[row]:
                     _push(below, (eta, sum(row), a_next), (), boxes(eta, upper), sums)
             else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
                 eta, lam_sum, a_next = key
-                for row in interlacing_rows(eta):
+                for row in under[eta]:
                     a = 2 * sum(eta) - lam_sum - sum(row)
                     if a >= a_next:
                         _push(below, (row, a), (a,), boxes(row, eta), sums)

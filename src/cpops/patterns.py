@@ -14,10 +14,10 @@ k even), i = 1..k//2 + 1. Walking k upward gives the one word-block order of
 :func:`overlay_positions`: for each level j < r the barred block then the
 unbarred block, then for full patterns the barred block at level r.
 
-Enumeration (:func:`pattern_chains`) walks the chain depth-first from the
-bounding row down, in a loop. Each row is constrained entrywise by the row
-above it only, so its candidate values form independent ranges and
-generation never backtracks.
+Every pass down the chains reads one table, :func:`row_levels`, of each row
+under the top with the rows under it, listed once per row: a row is bounded
+entrywise by the row above it only, so its candidates are independent ranges.
+Enumeration (:func:`pattern_chains`) walks the table depth-first, in a loop.
 """
 
 from __future__ import annotations
@@ -121,21 +121,32 @@ def validate_pattern(p: PatternC) -> list:
 
 def interlacing_rows(upper: tuple) -> Iterator[tuple]:
     """Rows one shorter than ``upper`` interlacing it, upper_i >= w_i >=
-    upper_{i+1}, in lexicographic order. The eta rows under a lambda row
-    lam are ``interlacing_rows(lam + (0,))``."""
+    upper_{i+1}, in lexicographic order."""
     return itertools.product(
         *[range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)])
 
 
+def row_levels(top: tuple, restricted: bool = False) -> list:
+    """The n levels of the full (or restricted) chains under ``top``, top
+    down: level i maps each row at chain index n - 1 - i to the tuple of rows
+    under it in lexicographic order, ``((),)`` under an eta^1 row. The eta
+    rows under a lambda row lam are ``interlacing_rows(lam + (0,))``."""
+    levels, rows = [], {top}
+    for k in range(2 * len(top) - 1 - restricted, -1, -1):
+        levels.append({row: tuple(interlacing_rows(row + (0,) if k % 2 else row))
+                       for row in rows})
+        rows = set().union(*levels[-1].values())
+    return levels
+
+
 def pattern_chains(bounding, restricted: bool) -> Iterator[tuple]:
     """Every chain of 2r (full) or 2r-1 (restricted) rows ending at the
-    bounding row, as the tuple of rows read bottom-up. The walk is
-    depth-first from the top, every row in lexicographic order of its
-    entries, so the stream is deterministic."""
+    bounding row, as the tuple of rows read bottom-up, depth-first down
+    :func:`row_levels`, so the stream is deterministic."""
     # ``pending[-1]`` yields the candidates for row k = n - len(pending)
     # under the current rows above it.
     top = lambda_tuple(bounding)
-    n = 2 * len(top) - restricted
+    n, levels = 2 * len(top) - restricted, row_levels(top, restricted)
     rows, pending = [None] * n, [iter((top,))]
     while pending:
         row = next(pending[-1], None)
@@ -144,7 +155,7 @@ def pattern_chains(bounding, restricted: bool) -> Iterator[tuple]:
             pending.pop()
         elif k:
             rows[k] = row
-            pending.append(interlacing_rows(row + (0,) if k % 2 else row))
+            pending.append(iter(levels[n - 1 - k][row]))
         else:
             rows[0] = row
             yield tuple(rows)

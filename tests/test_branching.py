@@ -286,6 +286,38 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
     assert not chains
 
 
+ROW_PASSES = {
+    "count_table": branching.count_table,
+    "_weight_walk": lambda lam: branching._weight_walk(lam.lam),
+    "dominant_character_direct": dominant_character_direct,
+    "pattern_chains": lambda lam: list(pattern_chains(lam, False)),
+}
+
+
+@pytest.mark.parametrize("omegas", [(1, 1, 1), (2, 1, 1)])
+@pytest.mark.parametrize("name", sorted(ROW_PASSES))
+def test_no_pass_lists_the_rows_under_a_row_twice(monkeypatch, name, omegas):
+    # A pass down lambda's chains lists the rows under any one row at most
+    # once per call: interlacing_rows, wherever a module holds it, is called
+    # with each argument at most as often as rows of lambda's chains ask for
+    # it (an eta row itself, a lambda row padded by a 0).
+    lam = DominantWeight.from_omegas(omegas)
+    asked = Counter()
+    for k, level in enumerate(reversed(patterns.row_levels(lam.lam))):
+        asked.update(row + (0,) if k % 2 else row for row in level)
+    calls = Counter()
+
+    def counted(upper, listing=patterns.interlacing_rows):
+        calls[upper] += 1
+        return listing(upper)
+    for module in (patterns, branching, characters, pops):
+        if hasattr(module, "interlacing_rows"):
+            monkeypatch.setattr(module, "interlacing_rows", counted)
+    ROW_PASSES[name](lam)
+    assert calls
+    assert not calls - asked
+
+
 def test_verify_identities_expands_no_character(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify expanded a character")

@@ -9,14 +9,16 @@ from cpops.patterns import (
     enumerate_patterns,
     enumerate_restricted_patterns,
     gap_block,
+    interlacing_rows,
     pattern_chains,
     pattern_from_json,
     pattern_to_json,
     pattern_weight,
     reconstruct_pattern,
+    row_levels,
     validate_pattern,
 )
-from cpops.rootsys import DominantWeight, sweep_dominant_weights
+from cpops.rootsys import DominantWeight, lambda_tuple, sweep_dominant_weights
 
 
 def zero_pattern(rank):
@@ -130,6 +132,45 @@ def test_chains_are_the_enumerated_rows():
                 chains = list(pattern_chains(w, restricted))
                 assert chains == [p.rows for p in stream(w)], (w, restricted)
                 assert all(type(chain) is tuple for chain in chains)
+
+
+def interlacing_dfs(top, restricted):
+    # The chain walk without a row table: depth-first, listing the rows under
+    # each row with interlacing_rows every time the walk reaches it.
+    n = 2 * len(top) - restricted
+    rows, pending = [None] * n, [iter((top,))]
+    while pending:
+        row = next(pending[-1], None)
+        k = n - len(pending)
+        if row is None:
+            pending.pop()
+        elif k:
+            rows[k] = row
+            pending.append(interlacing_rows(row + (0,) if k % 2 else row))
+        else:
+            rows[0] = row
+            yield tuple(rows)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_row_levels_hold_the_rows_of_the_chains(rank, restricted):
+    # Level i holds exactly the distinct rows at chain index n - 1 - i, each
+    # with the rows interlacing it (a lambda row padded by a 0); the chains
+    # are the ones a walk without the table lists, in the same order.
+    n = 2 * rank - restricted
+    for w in sweep_dominant_weights(rank, 2):
+        top = lambda_tuple(w)
+        chains = list(pattern_chains(w, restricted))
+        assert chains == list(interlacing_dfs(top, restricted)), (w, restricted)
+        levels = row_levels(top, restricted)
+        assert len(levels) == n
+        for i, level in enumerate(levels):
+            k = n - 1 - i
+            assert set(level) == {chain[k] for chain in chains}, (w, restricted, k)
+            for row, under in level.items():
+                assert under == tuple(interlacing_rows(row + (0,) if k % 2 else row))
+        assert set(levels[-1].values()) == {((),)}
 
 
 def test_restricted_counts():
