@@ -4,11 +4,12 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern and walks no pattern chain: :func:`count_table`
-counts the patterns and overlaid patterns under every row of lambda's chains
-in one pass up its :func:`~cpops.patterns.row_levels`, the top block's
-partitions are listed once per row under the top, and the weight check is a
-pass down those levels that counts chains by their running weight difference.
+It builds no overlaid pattern and walks no pattern chain, and every pass but
+lambda's direct character reads one :func:`~cpops.patterns.row_levels` table:
+:func:`count_table` counts the patterns and overlaid patterns under every row
+in one pass up it, the top block's partitions are listed once per row under
+the top, the weight check counts chains by weight difference in one pass down
+it, and the restriction check is one direct walk down it from every target.
 The character checks compare dominant parts: each graded piece is invariant
 under signed permutations, so a term or a multiplicity at a dominant weight
 stands for its whole orbit, counted by :func:`orbit_size`.
@@ -25,6 +26,7 @@ from math import comb, prod
 # character_direct and character_fermionic are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .characters import (  # noqa: F401
+    _direct_walk,
     character_direct,
     character_fermionic,
     dominant_character_direct,
@@ -210,28 +212,24 @@ def _block_count(lower: tuple, upper: tuple) -> int:
                     map(operator.sub, upper, lower)))
 
 
-def count_table(bounding, restricted: bool = False) -> dict:
+def count_table(levels: list) -> dict:
     """(row, restricted) -> (patterns, overlaid patterns) bounded by that
-    row, for every row of the chains under ``bounding``: a full (lambda) row
-    has the key False and a restricted (eta) row the key True. One pass up
-    the :func:`~cpops.patterns.row_levels` of ``bounding`` sums, for each
-    row, the counts of the rows under it, their overlays multiplied by the
-    gap block's :func:`_block_count`. No chain is listed and nothing
+    row, for every row of ``levels``, a top row's unchanged
+    :func:`~cpops.patterns.row_levels`: a full (lambda) row has the key False
+    and a restricted (eta) row the key True. One pass up ``levels`` sums, for
+    each row, the counts of the rows under it, their overlays multiplied by
+    the gap block's :func:`_block_count`. No chain is listed and nothing
     recurses. The empty row, of either kind, bounds the one rank-0 pattern."""
-    top = lambda_tuple(bounding) if bounding else ()
-    counts = {(): (1, 1)}
     table = {((), False): (1, 1), ((), True): (1, 1)}
     # Row k of a chain, counted from the bottom, is a lambda row when k is odd.
-    for k, level in enumerate(reversed(row_levels(top, restricted))):
+    for k, level in enumerate(reversed(levels)):
         for row, lowers in level.items():
             n = overlays = 0
             for lower in lowers:
-                m, o = counts[lower]
+                m, o = table[lower, k % 2 == 1]
                 n += m
                 overlays += o * _block_count(lower, row)
-            level[row] = n, overlays  # the row's counts replace its lowers
-        counts = level
-        table.update(((row, not k % 2), n) for row, n in level.items())
+            table[row, not k % 2] = n, overlays
     return table
 
 
@@ -239,7 +237,7 @@ def count_chains(bounding, restricted: bool = False) -> tuple:
     """The number of full (or restricted) patterns bounded by ``bounding``
     and of their overlaid patterns: its entry in :func:`count_table`."""
     top = lambda_tuple(bounding) if bounding else ()
-    return count_table(top, restricted)[top, restricted]
+    return count_table(row_levels(top, restricted))[top, restricted]
 
 
 def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
@@ -272,18 +270,18 @@ def _weight_step(rank: int, lower: tuple, upper: tuple) -> WeightVector:
     return tuple(acc)
 
 
-def _weight_walk(lam: tuple) -> tuple:
+def _weight_walk(lam: tuple, levels: list) -> tuple:
     # Lambda's full chains, counted by their weight difference d = lam minus
     # the root expansions of the gap blocks minus chain_weight, in one pass
-    # down row_levels keyed (row, d so far), each step read from a memo of
-    # _weight_step. Returns (chains, chains with d = 0, witness), the witness
-    # None or one chain with d != 0, rebuilt from the first (row, d) key that
-    # reached each key.
+    # down their row_levels ``levels`` keyed (row, d so far), each step read
+    # from a memo of _weight_step. Returns (chains, chains with d = 0,
+    # witness), the witness None or one chain with d != 0, rebuilt from the
+    # first (row, d) key that reached each key.
     r = len(lam)
     steps = functools.cache(functools.partial(_weight_step, r))
     start = (lam, lam[:-1] + (lam[-1] + sum(lam),))  # lam^r adds -|lam| at a_r
     level, parents = {start: 1}, []
-    for under in row_levels(lam)[:-1]:
+    for under in levels[:-1]:
         below, back = {}, {}
         for key, n in level.items():
             row, d = key
@@ -364,12 +362,12 @@ def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
 def verify_identities(lam: DominantWeight) -> Report:
     """Run every identity the package asserts for one dominant weight and
     report each as ok, fail, or skipped (when the rank is too small for it).
-    Overlaid patterns are counted by box products, never built: every (row,
-    kind) count is read from one :func:`count_table` of lambda, computed once
-    per call, and the weight check counts lambda's chains in one pass down
-    its rows.
-    Characters are compared on their dominant parts; every total is that of
-    the orbit expansion, which is never built."""
+    Besides lambda's direct character, one row_levels table of lambda serves
+    every check: each (row, kind) count is read from its :func:`count_table`,
+    the weight check is a pass down it, and so is the restriction's one
+    direct walk at q = 1, seeded with every filtration target. Nothing is
+    built: overlaid patterns are counted by box products, and characters are
+    compared on dominant parts, with the totals of their orbit expansions."""
     r = lam.rank
     report = Report(lam)
 
@@ -378,7 +376,8 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
     # The memos are made afresh on each call, so a long sweep grows none.
-    walk = functools.cache(functools.partial(_top_block_walk, table=count_table(lam)))
+    levels = row_levels(lam.lam)
+    walk = functools.cache(functools.partial(_top_block_walk, table=count_table(levels)))
     n_patterns = walk(lam.lam, False)[0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
@@ -426,23 +425,23 @@ def verify_identities(lam: DominantWeight) -> Report:
     check("intermediate-dim-vs-irreducible-sum", len(etas), len(etas), bad)
 
     if r >= 2:
-        terms = list(weyl_filtration(lam))
-        booked = sum(term.mult * pop_count_formula(term.target) for term in terms)
+        by_target = Counter()
+        for term in weyl_filtration(lam):
+            by_target[term.target] += term.mult
+        booked = sum(mult * pop_count_formula(t) for t, mult in by_target.items())
         check("weyl-filtration-dimension", booked, formula)
 
         lhs = _restricted_at_q1(direct)
-        by_target = Counter()
-        for term in terms:
-            by_target[term.target] += term.mult
-        rhs = Counter()
-        for target, mult in by_target.items():
-            for (_, mu), m in dominant_character_direct(DominantWeight(target)).terms.items():
-                rhs[mu] += mult * m
+        # One walk at q = 1 down lambda's levels from lam^{r-1}, seeded with
+        # every target, a key of levels[2]: ellp_i <= n_i gives target_i >=
+        # lam_{i+1} - ell_{i+1} >= lam_{i+2}, and target is dominant, so
+        # eta_i = max(lam_{i+1}, target_i), eta_r = 0, is a row between them.
+        rhs = _direct_walk(levels[2:], {(t, 0): {(): m} for t, m in by_target.items()}, comb)
         check("ungraded-restriction-character", _orbit_sum(lhs.items()),
               _orbit_sum(rhs.items()), _diff_witness(lhs, rhs, "weight"))
     else:
         for name in ("weyl-filtration-dimension", "ungraded-restriction-character"):
             report.entries.append(CheckResult(name, "skipped"))
 
-    check("pattern-weight-vs-root-expansion", *_weight_walk(lam.lam))
+    check("pattern-weight-vs-root-expansion", *_weight_walk(lam.lam, levels))
     return report

@@ -364,12 +364,19 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     times the product of box generating functions of the row pair (memoized
     per pair), to every child key; paths that reach the same key merge
     there. Each box generating function is a Gaussian binomial, packed from
-    the rows that the fermionic walk also reads.
+    the rows that the fermionic walk also reads. It is :func:`_direct_walk`
+    from the one key (lam^r, 0), holding 1.
     """
     width, binomial = _packing(lam)
+    return _dense_character(lam.rank, _direct_walk(
+        row_levels(lam.lam), {(lam.lam, 0): {(): 1}}, binomial), width)
+
+
+def _direct_walk(levels: list, state: dict, binomial) -> dict:
+    # Weight -> summed polynomial of dominant_character_direct's walk down
+    # ``levels`` from every key of ``state``; math.comb walks at q = 1.
     boxes = cache(partial(_gap_boxes, binomial=binomial))
-    state = {(lam.lam, 0): {(): 1}}
-    for k, under in enumerate(row_levels(lam.lam)):
+    for k, under in enumerate(levels):
         below = {}
         for key, sums in state.items():
             if k % 2 == 0:  # (lam^j, a_{j+1}) -> eta^j
@@ -385,8 +392,7 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
                         _push(below, (row, a), (a,), boxes(row, eta), sums)
         state = below
     # One final key ((), a_1) per value of a_1, so their weights are disjoint.
-    return _dense_character(lam.rank, {w: p for sums in state.values() for w, p in sums.items()},
-                            width)
+    return {w: p for sums in state.values() for w, p in sums.items()}
 
 
 def character_direct(lam: DominantWeight) -> GradedCharacter:

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -224,9 +225,9 @@ VERIFY_FAULTS = {
     # Restricted counts lose one pattern, with its one overlaid pattern.
     "restricted-patterns-drops-last": (
         "count_table",
-        lambda f: lambda row, restricted=False: {
+        lambda f: lambda levels: {
             key: tuple(x - key[1] for x in counts)
-            for key, counts in f(row, restricted).items()},
+            for key, counts in f(levels).items()},
         {"pattern-count-vs-weyl-dim", "pop-refinement-by-top-block",
          "restricted-refinement-by-top-block",
          "irreducible-dim-vs-intermediate-sum",
@@ -260,11 +261,19 @@ def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
 
 
 def test_verify_identities_walks_each_stream_once(monkeypatch):
-    tables, blocks, chains = Counter(), Counter(), Counter()
+    tables, levels, direct, blocks, chains = (Counter() for _ in range(5))
 
-    def counted(row, restricted=False, count=branching.count_table):
-        tables[tuple(row), restricted] += 1
-        return count(row, restricted)
+    def counted(rows, count=branching.count_table):
+        tables[next(iter(rows[0])), len(rows)] += 1
+        return count(rows)
+
+    def listed(top, restricted=False, listing=patterns.row_levels):
+        levels[top, restricted] += 1
+        return listing(top, restricted)
+
+    def walked_direct(lam, walk=dominant_character_direct):
+        direct[lam.lam] += 1
+        return walk(lam)
 
     def block(lower, upper, count=branching._block_count):
         blocks[lower, upper] += 1
@@ -274,21 +283,51 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
         chains[tuple(row), restricted] += 1
         return walk(row, restricted)
     monkeypatch.setattr(branching, "count_table", counted)
+    for module in (branching, characters):
+        monkeypatch.setattr(module, "row_levels", listed)
+    monkeypatch.setattr(branching, "dominant_character_direct", walked_direct)
     monkeypatch.setattr(branching, "_block_count", block)
     monkeypatch.setattr(patterns, "pattern_chains", walked)
-    lam = DominantWeight.from_omegas((1, 1, 1))
-    assert verify_identities(lam).ok
-    # Every (row, kind) count comes from one count_table of lambda, which
-    # reads each row pair's block count once, and no check walks a pattern
-    # chain, not even the weight check.
-    assert tables == {(lam.lam, False): 1}
-    assert blocks and set(blocks.values()) == {1}
-    assert not chains
+    for omegas in ((1, 1, 1), (2, 1, 1)):
+        for counter in (tables, levels, direct, blocks, chains):
+            counter.clear()
+        lam = DominantWeight.from_omegas(omegas)
+        assert verify_identities(lam).ok
+        # Every (row, kind) count comes from one count_table of lambda, which
+        # reads each row pair's block count once, and no check walks a
+        # pattern chain, not even the weight check. Lambda's rows are listed
+        # at most twice, once by verify and once by its direct character,
+        # and no filtration target gets a table or a direct character.
+        assert tables == {(lam.lam, 2 * lam.rank): 1}
+        assert set(levels) == {(lam.lam, False)} and sum(levels.values()) <= 2
+        assert direct == {lam.lam: 1}
+        assert blocks and set(blocks.values()) == {1}
+        assert not chains
+
+
+def test_restriction_walk_matches_the_sum_over_targets():
+    # The seeded walk at q = 1 down lambda's levels from lam^{r-1}, which the
+    # ungraded-restriction-character check reads, is the sum over the
+    # filtration targets of mult times each target's direct character at
+    # q = 1, and every target is a row of those levels.
+    weights = [w for r in (2, 3, 4) for w in sweep_dominant_weights(r, 3)]
+    for lam in weights + [DominantWeight.from_omegas((2, 2, 2, 2))]:
+        levels = patterns.row_levels(lam.lam)
+        by_target = Counter()
+        for term in weyl_filtration(lam):
+            by_target[term.target] += term.mult
+        assert set(by_target) <= set(levels[2]), lam
+        expected = Counter()
+        for target, mult in by_target.items():
+            for (_, mu), m in dominant_character_direct(DominantWeight(target)).terms.items():
+                expected[mu] += mult * m
+        seeds = {(target, 0): {(): mult} for target, mult in by_target.items()}
+        assert characters._direct_walk(levels[2:], seeds, comb) == expected, lam
 
 
 ROW_PASSES = {
-    "count_table": branching.count_table,
-    "_weight_walk": lambda lam: branching._weight_walk(lam.lam),
+    "count_table": lambda lam: branching.count_table(patterns.row_levels(lam.lam)),
+    "_weight_walk": lambda lam: branching._weight_walk(lam.lam, patterns.row_levels(lam.lam)),
     "dominant_character_direct": dominant_character_direct,
     "pattern_chains": lambda lam: list(pattern_chains(lam, False)),
 }

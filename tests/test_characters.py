@@ -228,7 +228,7 @@ def test_methods_share_no_enumeration(monkeypatch):
         for name in ("q_binomial", "_binomial_products", "_fermionic_level"):
             m.setattr(characters, name, broken)
         assert character_direct(w) == expected
-    for name in ("row_levels", "box_generating_function", "_gap_boxes"):
+    for name in ("row_levels", "_direct_walk", "box_generating_function", "_gap_boxes"):
         monkeypatch.setattr(characters, name, broken)
     assert character_fermionic(w) == expected
 

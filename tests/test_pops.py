@@ -12,6 +12,7 @@ from cpops.patterns import (
     enumerate_restricted_patterns,
     pattern_chains,
     pattern_weight,
+    row_levels,
 )
 from cpops.pops import (
     PbwMonomial,
@@ -307,10 +308,13 @@ def test_count_chains_equals_the_listings():
 
 def test_count_table_holds_every_row_under_the_top():
     # One pass down and one back up count the chains under every row of the
-    # top's chains, of both kinds, as the listings bounded by that row do.
+    # top's chains, of both kinds, as the listings bounded by that row do,
+    # and the pass up leaves the table of rows it reads as it was.
     for w in [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]:
         for restricted in (False, True):
-            table = count_table(w, restricted)
+            levels = row_levels(w.lam, restricted)
+            table = count_table(levels)
+            assert levels == row_levels(w.lam, restricted)
             assert set(table) == {((), False), ((), True)} | {
                 (rows[k], not k % 2) for rows in pattern_chains(w, restricted)
                 for k in range(len(rows))}
@@ -338,7 +342,7 @@ def test_refinement_by_top_block_small():
                 expected[(ells, parts)] = sum(
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
-            table = count_table(w)
+            table = count_table(row_levels(w.lam))
             assert _top_block_walk(w.lam, False, table) == (
                 sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
