@@ -4,12 +4,14 @@ overlay enumeration by its top blocks, and the rank-lowering Weyl filtration.
 ``verify_identities`` bundles every counting, character, and branching
 identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
-It builds no overlaid pattern and walks no pattern chain, and every pass but
-lambda's direct character reads one :func:`~cpops.patterns.row_levels` table:
+It builds no overlaid pattern, lists no partition and walks no pattern chain,
+and every pass reads one :func:`~cpops.patterns.row_levels` table of lambda:
 :func:`count_table` counts the patterns and overlaid patterns under every row
-in one pass up it, the top block's partitions are listed once per row under
-the top, the weight check counts chains by weight difference in one pass down
-it, and the restriction check is one direct walk down it from every target.
+in one pass up it, lambda's direct character and the weight check are passes
+down it, and the restriction check is one direct walk down it from every
+target. The count checks compare that one table with closed forms that share
+no code with it: the product formulas under each row below the top, and the
+Weyl dimensions of the rank r-1 rows two levels down.
 The character checks compare dominant parts: each graded piece is invariant
 under signed permutations, so a term or a multiplicity at a dominant weight
 stands for its whole orbit, counted by :func:`orbit_size`.
@@ -26,10 +28,10 @@ from math import comb, prod
 # character_direct and character_fermionic are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .characters import (  # noqa: F401
+    _direct_character,
     _direct_walk,
     character_direct,
     character_fermionic,
-    dominant_character_direct,
     dominant_character_fermionic,
 )
 # freudenthal_character is imported only so that perfbench/traced.py can wrap
@@ -55,11 +57,10 @@ from .patterns import (  # noqa: F401
 # enumerate_pops and enumerate_restricted_pops are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .pops import (  # noqa: F401
-    enumerate_f,
     enumerate_pops,
     enumerate_restricted_pops,
-    partitions_in_box,
     pop_count_formula,
+    restricted_pop_count_formula,
 )
 from .rootsys import (
     DominantWeight,
@@ -325,49 +326,37 @@ def _restricted_at_q1(terms: dict) -> Counter:
     return out
 
 
-def _top_block_walk(row: tuple, restricted: bool, table: dict) -> tuple:
-    # The (restricted) patterns bounded by ``row``: their number and their
-    # overlaid patterns counted by top block (ells, parts), the last
-    # len(row) - restricted gaps, between the top row and the one under it.
-    # Each row under the top lists its top-block partitions once and reads
-    # the chains under it, of the other kind, from ``table``, a count_table
-    # that holds those rows.
-    n, groups = 0, Counter()
-    for lower in interlacing_rows(row if restricted else row + (0,)):
-        patterns, overlays = table[lower, not restricted]
-        n += patterns
-        boxes = [box for _, box in gap_block(lower, row)]
-        ells = tuple([ell for ell, _ in boxes])
-        for parts in itertools.product(*[partitions_in_box(*b) for b in boxes]):
-            groups[ells, parts] += overlays
-    return n, groups
-
-
-def _refinement_by_top_block(walk, top: tuple, restricted: bool) -> tuple:
-    # The top-block groups of ``walk(top, restricted)`` must be exactly the
-    # block choices for the top block's multiplicities, each of the size of
-    # the other kind's count one half-step down, under the row ``target``
-    # that the choice bounds.
-    # Returns (groups, expected, witness).
-    groups = walk(top, restricted)[1]
-    expected = {}
-    omegas = lambda_to_omegas(top)[:len(top) - restricted]
-    for combo in itertools.product(*(list(enumerate_f(m)) for m in omegas)):
-        ells, parts = zip(*combo)
-        target = tuple(t - ell for t, ell in zip(top, ells))
-        expected[(ells, parts)] = sum(walk(target, not restricted)[1].values())
-    return len(groups), len(expected), _diff_witness(groups, expected, "block")
+def _refinement_by_top_block(top: tuple, restricted: bool, lowers, counts: dict) -> tuple:
+    # The top block's choices under ``top``, counted per row L under it (the
+    # ``lowers``): prod comb(m_i, ell_i) with ell = top - L, which total
+    # 2**sum(m), the size of enumerate_f's product. Under each L, ``counts``
+    # must hold the other kind's product formula of overlaid patterns.
+    # Returns (choices, 2**sum(m), witness).
+    m = lambda_to_omegas(top)[:len(top) - restricted]
+    formula = pop_count_formula if restricted else restricted_pop_count_formula
+    choices, witness = 0, None
+    for lower in lowers:
+        ell = tuple(map(operator.sub, top, lower))
+        choices += prod(map(comb, m, ell))
+        counted, expected = counts[lower, not restricted][1], formula(lower)
+        if witness is None and counted != expected:
+            witness = f"block {ell}: {counted} vs {expected}"
+    return choices, 2 ** sum(m), witness
 
 
 def verify_identities(lam: DominantWeight) -> Report:
     """Run every identity the package asserts for one dominant weight and
     report each as ok, fail, or skipped (when the rank is too small for it).
-    Besides lambda's direct character, one row_levels table of lambda serves
-    every check: each (row, kind) count is read from its :func:`count_table`,
-    the weight check is a pass down it, and so is the restriction's one
-    direct walk at q = 1, seeded with every filtration target. Nothing is
-    built: overlaid patterns are counted by box products, and characters are
-    compared on dominant parts, with the totals of their orbit expansions."""
+    One row_levels table of lambda serves every check, and one
+    :func:`count_table` of it every pattern and overlay count. Those counts
+    are compared with closed forms: lambda's with its Weyl dimension, each
+    row's under the top with its product formula, and each eta row's with
+    the Weyl dimensions of the rank r-1 rows under it. Lambda's direct
+    character and the weight check are passes down the table, and so is the
+    restriction's one direct walk at q = 1, seeded with every filtration
+    target. Nothing is built: overlaid patterns are counted by box products,
+    and characters are compared on dominant parts, with the totals of their
+    orbit expansions."""
     r = lam.rank
     report = Report(lam)
 
@@ -375,14 +364,13 @@ def verify_identities(lam: DominantWeight) -> Report:
         status = "ok" if lhs == rhs and witness is None else "fail"
         report.entries.append(CheckResult(name, status, lhs, rhs, witness))
 
-    # The memos are made afresh on each call, so a long sweep grows none.
     levels = row_levels(lam.lam)
-    walk = functools.cache(functools.partial(_top_block_walk, table=count_table(levels)))
-    n_patterns = walk(lam.lam, False)[0]
+    counts = count_table(levels)
+    n_patterns = counts[lam.lam, False][0]
     check("pattern-count-vs-weyl-dim", n_patterns, weyl_dim(lam))
 
     # The direct character counts every overlaid pattern once.
-    direct = dominant_character_direct(lam).terms
+    direct = _direct_character(lam, levels).terms
     formula = pop_count_formula(lam)
     check("pop-count-vs-product-formula",
           _orbit_sum((mu, m) for (_, mu), m in direct.items()), formula)
@@ -397,13 +385,14 @@ def verify_identities(lam: DominantWeight) -> Report:
     check("zeroth-piece-vs-freudenthal", _orbit_sum(zero_slice.items()),
           _orbit_sum(table.items()), _diff_witness(zero_slice, table, "weight"))
 
-    check("pop-refinement-by-top-block", *_refinement_by_top_block(walk, lam, False))
+    etas = levels[0][lam.lam]
+    check("pop-refinement-by-top-block",
+          *_refinement_by_top_block(lam.lam, False, etas, counts))
 
-    etas = shtepin_branch_v(lam)
     if r >= 2:
         bad = None
         for eta in etas:
-            witness = _refinement_by_top_block(walk, eta, True)[2]
+            witness = _refinement_by_top_block(eta, True, levels[1][eta], counts)[2]
             if witness:
                 bad = f"eta={eta}: {witness}"
                 break
@@ -412,16 +401,13 @@ def verify_identities(lam: DominantWeight) -> Report:
         report.entries.append(
             CheckResult("restricted-refinement-by-top-block", "skipped"))
 
-    check("irreducible-dim-vs-intermediate-sum", n_patterns,
-          sum(walk(eta, True)[0] for eta in etas))
-
-    bad = None
-    for eta in etas:
-        lhs = walk(eta, True)[0]
-        rhs = sum(walk(nu, False)[0] for nu in shtepin_branch_l(eta))
-        if lhs != rhs:
-            bad = f"eta={eta}: {lhs} vs {rhs}"
-            break
+    # Each eta row's patterns against the Weyl dimensions of the rank r-1
+    # rows under it, memoized afresh on each call; a rank-0 row counts 1.
+    dim = functools.cache(lambda nu: weyl_dim(DominantWeight(nu)) if nu else 1)
+    branched = {eta: sum(map(dim, levels[1][eta])) for eta in etas}
+    check("irreducible-dim-vs-intermediate-sum", n_patterns, sum(branched.values()))
+    bad = next((f"eta={eta}: {counts[eta, True][0]} vs {n}"
+                for eta, n in branched.items() if counts[eta, True][0] != n), None)
     check("intermediate-dim-vs-irreducible-sum", len(etas), len(etas), bad)
 
     if r >= 2:

@@ -365,11 +365,16 @@ def dominant_character_direct(lam: DominantWeight) -> GradedCharacter:
     per pair), to every child key; paths that reach the same key merge
     there. Each box generating function is a Gaussian binomial, packed from
     the rows that the fermionic walk also reads. It is :func:`_direct_walk`
-    from the one key (lam^r, 0), holding 1.
+    from the one key (lam^r, 0), holding 1, down ``row_levels(lam)``.
     """
+    return _direct_character(lam, row_levels(lam.lam))
+
+
+def _direct_character(lam: DominantWeight, levels: list) -> "GradedCharacter":
+    # dominant_character_direct(lam), walked down lam's row_levels ``levels``.
     width, binomial = _packing(lam)
     return _dense_character(lam.rank, _direct_walk(
-        row_levels(lam.lam), {(lam.lam, 0): {(): 1}}, binomial), width)
+        levels, {(lam.lam, 0): {(): 1}}, binomial), width)
 
 
 def _direct_walk(levels: list, state: dict, binomial) -> dict:

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from math import comb
 
@@ -192,10 +193,26 @@ def _move_one(table):
     table[max(table)] += 1
 
 
+def _move_one_pattern(counts, levels):
+    # Move one pattern from the last eta row under the top to the first; the
+    # top's total stays.
+    etas = next(iter(levels[0].values()))
+    for eta, step in ((etas[-1], -1), (etas[0], 1)):
+        n, overlays = counts[eta, True]
+        counts[eta, True] = n + step, overlays
+    return counts
+
+
 # (name in cpops.branching, original -> faulty replacement, checks that fail)
 VERIFY_FAULTS = {
     "weyl-dim-zero": (
-        "weyl_dim", lambda f: lambda lam: 0, {"pattern-count-vs-weyl-dim"}),
+        "weyl_dim", lambda f: lambda lam: 0,
+        {"pattern-count-vs-weyl-dim", "irreducible-dim-vs-intermediate-sum",
+         "intermediate-dim-vs-irreducible-sum"}),
+    # At (1, 1) the rows two levels under the top are of rank 1.
+    "weyl-dim-plus-one-below": (
+        "weyl_dim", lambda f: lambda lam: f(lam) + (lam.rank == 1),
+        {"irreducible-dim-vs-intermediate-sum", "intermediate-dim-vs-irreducible-sum"}),
     "fermionic-extra-term": (
         "dominant_character_fermionic",
         lambda f: _after(f, lambda ch: ch.add_term(99, (0,) * ch.rank)),
@@ -216,22 +233,21 @@ VERIFY_FAULTS = {
     "block-count-plus-one": (
         "_block_count", lambda f: lambda lower, upper: f(lower, upper) + 1,
         {"pop-refinement-by-top-block", "restricted-refinement-by-top-block"}),
-    "branch-l-drops-last": (
-        "shtepin_branch_l", lambda f: lambda eta: f(eta)[:-1],
-        {"intermediate-dim-vs-irreducible-sum"}),
     "pop-formula-plus-one": (
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
-        {"pop-count-vs-product-formula", "weyl-filtration-dimension"}),
+        {"pop-count-vs-product-formula", "restricted-refinement-by-top-block",
+         "weyl-filtration-dimension"}),
     # Restricted counts lose one pattern, with its one overlaid pattern.
     "restricted-patterns-drops-last": (
         "count_table",
         lambda f: lambda levels: {
             key: tuple(x - key[1] for x in counts)
             for key, counts in f(levels).items()},
-        {"pattern-count-vs-weyl-dim", "pop-refinement-by-top-block",
-         "restricted-refinement-by-top-block",
-         "irreducible-dim-vs-intermediate-sum",
-         "intermediate-dim-vs-irreducible-sum"}),
+        {"pop-refinement-by-top-block", "intermediate-dim-vs-irreducible-sum"}),
+    # Lambda's count, the sum over its eta rows, stays; two eta rows' move.
+    "restricted-count-moved-one": (
+        "count_table", lambda f: lambda levels: _move_one_pattern(f(levels), levels),
+        {"intermediate-dim-vs-irreducible-sum"}),
 }
 
 
@@ -260,6 +276,20 @@ def test_verify_identities_builds_no_overlaid_pattern(monkeypatch):
     assert verify_identities(DominantWeight.from_omegas((1, 1, 1))).ok
 
 
+def test_verify_identities_lists_no_partition(monkeypatch):
+    # The refinement checks count the top block's choices by binomials and
+    # read the overlays under it from the one count table.
+    def refuse(*args):
+        raise AssertionError("a partition was listed")
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cpops":
+            for name in ("partitions_in_box", "enumerate_f"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    for lam in sweep_dominant_weights(3, 2):
+        assert verify_identities(lam).ok, lam
+
+
 def test_verify_identities_walks_each_stream_once(monkeypatch):
     tables, levels, direct, blocks, chains = (Counter() for _ in range(5))
 
@@ -271,9 +301,9 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
         levels[top, restricted] += 1
         return listing(top, restricted)
 
-    def walked_direct(lam, walk=dominant_character_direct):
+    def walked_direct(lam, rows, walk=characters._direct_character):
         direct[lam.lam] += 1
-        return walk(lam)
+        return walk(lam, rows)
 
     def block(lower, upper, count=branching._block_count):
         blocks[lower, upper] += 1
@@ -285,7 +315,7 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
     monkeypatch.setattr(branching, "count_table", counted)
     for module in (branching, characters):
         monkeypatch.setattr(module, "row_levels", listed)
-    monkeypatch.setattr(branching, "dominant_character_direct", walked_direct)
+    monkeypatch.setattr(branching, "_direct_character", walked_direct)
     monkeypatch.setattr(branching, "_block_count", block)
     monkeypatch.setattr(patterns, "pattern_chains", walked)
     for omegas in ((1, 1, 1), (2, 1, 1)):
@@ -296,10 +326,10 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
         # Every (row, kind) count comes from one count_table of lambda, which
         # reads each row pair's block count once, and no check walks a
         # pattern chain, not even the weight check. Lambda's rows are listed
-        # at most twice, once by verify and once by its direct character,
-        # and no filtration target gets a table or a direct character.
+        # once, and its direct character walks that listing; no filtration
+        # target gets a table or a direct character.
         assert tables == {(lam.lam, 2 * lam.rank): 1}
-        assert set(levels) == {(lam.lam, False)} and sum(levels.values()) <= 2
+        assert levels == {(lam.lam, False): 1}
         assert direct == {lam.lam: 1}
         assert blocks and set(blocks.values()) == {1}
         assert not chains

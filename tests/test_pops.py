@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cpops.branching import _top_block_walk, count_chains, count_table, shtepin_branch_v
+from cpops.branching import count_chains, count_table, shtepin_branch_l, shtepin_branch_v
 from cpops.patterns import (
     PatternC,
     differences,
@@ -330,7 +330,8 @@ def test_count_table_holds_every_row_under_the_top():
 def test_refinement_by_top_block_small():
     # splitting the overlaid patterns on their top barred block reproduces
     # the admissible block set crossed with restricted enumerations, and the
-    # box-product walk of verify_identities reproduces the per-POP groups
+    # count table that verify_identities reads holds the product formula at
+    # every row one and two levels under the top
     for r in (1, 2, 3):
         for w in sweep_dominant_weights(r, 2):
             groups = _groups_per_pop(enumerate_pops(w), w.lam, r)
@@ -343,9 +344,8 @@ def test_refinement_by_top_block_small():
                     1 for _ in enumerate_restricted_pops(eta))
             assert groups == expected, w
             table = count_table(row_levels(w.lam))
-            assert _top_block_walk(w.lam, False, table) == (
-                sum(1 for _ in enumerate_patterns(w)), groups), w
             for eta in shtepin_branch_v(w):
-                assert _top_block_walk(eta, True, table) == (
-                    sum(1 for _ in enumerate_restricted_patterns(eta)),
-                    _groups_per_pop(enumerate_restricted_pops(eta), eta, r - 1)), eta
+                assert table[eta, True][1] == restricted_pop_count_formula(eta), eta
+                if r > 1:  # a rank-0 row has no product formula
+                    assert all(table[nu, False][1] == pop_count_formula(nu)
+                               for nu in shtepin_branch_l(eta)), eta
