@@ -6,10 +6,11 @@ identity the package promises for a single dominant weight into a structured
 report; failures become report entries with witnesses, never exceptions.
 It builds no overlaid pattern, lists no partition and walks no pattern chain,
 and every pass reads one :func:`~cpops.patterns.row_levels` table of lambda:
-:func:`count_table` counts the patterns and overlaid patterns under every row
-in one pass up it, lambda's direct character and the weight check are passes
-down it, and the restriction check is one direct walk down it from every
-target. The count checks compare that one table with closed forms that share
+:func:`count_table` counts the patterns under every row in one pass up it,
+and their overlays by the direct character's box products at q = 1; lambda's
+direct character and the weight check, whose row shares come from
+chain_weight, are passes down it; and the restriction check compares the
+fermionic restriction with one direct walk down it from every target. The count checks compare that one table with closed forms that share
 no code with it: the product formulas under each row below the top, and the
 Weyl dimensions of the rank r-1 rows two levels down.
 The character checks compare dominant parts: each graded piece is invariant
@@ -30,6 +31,7 @@ from math import comb, prod
 from .characters import (  # noqa: F401
     _direct_character,
     _direct_walk,
+    _gap_boxes,
     character_direct,
     character_fermionic,
     dominant_character_fermionic,
@@ -206,21 +208,15 @@ def _diff_witness(a: dict, b: dict, label: str) -> str | None:
     return None
 
 
-def _block_count(lower: tuple, upper: tuple) -> int:
-    # The overlays of a gap block: the product of its boxes' partition counts,
-    # comb(ell + ellp, ell) with ell + ellp = upper_i - upper_{i+1}.
-    return prod(map(comb, map(operator.sub, upper, upper[1:] + (0,)),
-                    map(operator.sub, upper, lower)))
-
-
 def count_table(levels: list) -> dict:
     """(row, restricted) -> (patterns, overlaid patterns) bounded by that
     row, for every row of ``levels``, a top row's unchanged
     :func:`~cpops.patterns.row_levels`: a full (lambda) row has the key False
     and a restricted (eta) row the key True. One pass up ``levels`` sums, for
     each row, the counts of the rows under it, their overlays multiplied by
-    the gap block's :func:`_block_count`. No chain is listed and nothing
-    recurses. The empty row, of either kind, bounds the one rank-0 pattern."""
+    the gap block's partition count, the direct character's box product at
+    q = 1. No chain is listed and nothing recurses. The empty row, of either
+    kind, bounds the one rank-0 pattern."""
     table = {((), False): (1, 1), ((), True): (1, 1)}
     # Row k of a chain, counted from the bottom, is a lambda row when k is odd.
     for k, level in enumerate(reversed(levels)):
@@ -229,16 +225,16 @@ def count_table(levels: list) -> dict:
             for lower in lowers:
                 m, o = table[lower, k % 2 == 1]
                 n += m
-                overlays += o * _block_count(lower, row)
+                overlays += o * _gap_boxes(lower, row, comb)
             table[row, not k % 2] = n, overlays
     return table
 
 
-def count_chains(bounding, restricted: bool = False) -> tuple:
-    """The number of full (or restricted) patterns bounded by ``bounding``
-    and of their overlaid patterns: its entry in :func:`count_table`."""
+def count_chains(bounding) -> tuple:
+    """The number of patterns bounded by ``bounding`` and of their overlaid
+    patterns: its entry in :func:`count_table`."""
     top = lambda_tuple(bounding) if bounding else ()
-    return count_table(row_levels(top, restricted))[top, restricted]
+    return count_table(row_levels(top))[top, False]
 
 
 def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
@@ -256,18 +252,15 @@ def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
     return tuple(acc)
 
 
-def _weight_step(rank: int, lower: tuple, upper: tuple) -> WeightVector:
+def _weight_step(rank: int, share: list, lower: tuple, upper: tuple) -> WeightVector:
     # What stepping down from ``upper`` to ``lower`` takes off the running
     # difference: the gap block's root expansion plus the lower row's share
-    # of chain_weight, 2|eta^j| at a_j for an eta row, -|lam^j| at a_j and
-    # a_{j+1} for a lambda row.
+    # of chain_weight, its row sum times each (coordinate, coefficient) of
+    # ``share``.
     acc = list(_block_roots(rank, lower, upper))
-    j, s = len(lower), sum(lower)
-    if j == len(upper):
-        acc[j - 1] += 2 * s
-    else:
-        acc[j - 1] -= s
-        acc[j] -= s
+    s = sum(lower)
+    for i, c in share:
+        acc[i] += c * s
     return tuple(acc)
 
 
@@ -275,14 +268,18 @@ def _weight_walk(lam: tuple, levels: list) -> tuple:
     # Lambda's full chains, counted by their weight difference d = lam minus
     # the root expansions of the gap blocks minus chain_weight, in one pass
     # down their row_levels ``levels`` keyed (row, d so far), each step read
-    # from a memo of _weight_step. Returns (chains, chains with d = 0,
+    # from a memo of _weight_step per level. chain_weight is linear in the row
+    # sums, so row k's share is read from chain_weight of a chain whose one
+    # non-zero row sum is 1 at row k. Returns (chains, chains with d = 0,
     # witness), the witness None or one chain with d != 0, rebuilt from the
     # first (row, d) key that reached each key.
-    r = len(lam)
-    steps = functools.cache(functools.partial(_weight_step, r))
-    start = (lam, lam[:-1] + (lam[-1] + sum(lam),))  # lam^r adds -|lam| at a_r
-    level, parents = {start: 1}, []
-    for under in levels[:-1]:
+    r, height = len(lam), len(levels)
+    shares = [[(i, c) for i, c in enumerate(chain_weight(
+        [(1,) if j == k else () for j in range(height)])) if c] for k in range(height)]
+    start = _weight_step(r, shares[-1], lam, lam)  # lam over lam: no gap, lam^r's share
+    level, parents = {(lam, tuple(map(operator.sub, lam, start))): 1}, []
+    for under, share in zip(levels, shares[-2::-1]):
+        steps = functools.cache(functools.partial(_weight_step, r, share))
         below, back = {}, {}
         for key, n in level.items():
             row, d = key
@@ -299,13 +296,13 @@ def _weight_walk(lam: tuple, levels: list) -> tuple:
     if agree == total:
         return total, agree, None
     key = next(key for key in level if any(key[1]))
-    d, chain = key[1], [key[0]]
+    chain = [key[0]]
     for back in reversed(parents):
         key = back[key]
         chain.append(key[0])
-    w = chain_weight(chain)
+    roots = map(sum, zip(*map(functools.partial(_block_roots, r), chain, chain[1:])))
     return total, agree, (f"pattern {pattern_to_json(PatternC.from_rows(chain))}: "
-                          f"{w} vs {tuple(map(operator.add, w, d))}")
+                          f"{chain_weight(chain)} vs {tuple(map(operator.sub, lam, roots))}")
 
 
 def _orbit_sum(items) -> int:
@@ -352,10 +349,11 @@ def verify_identities(lam: DominantWeight) -> Report:
     are compared with closed forms: lambda's with its Weyl dimension, each
     row's under the top with its product formula, and each eta row's with
     the Weyl dimensions of the rank r-1 rows under it. Lambda's direct
-    character and the weight check are passes down the table, and so is the
-    restriction's one direct walk at q = 1, seeded with every filtration
-    target. Nothing is built: overlaid patterns are counted by box products,
-    and characters are compared on dominant parts, with the totals of their
+    character and the weight check (row shares from chain_weight) are passes
+    down the table, and so is the direct walk at q = 1, seeded with every
+    filtration target, that the fermionic restriction is compared with.
+    Nothing is built: overlaid patterns are counted by box products, and
+    characters are compared on dominant parts, with the totals of their
     orbit expansions."""
     r = lam.rank
     report = Report(lam)
@@ -417,7 +415,7 @@ def verify_identities(lam: DominantWeight) -> Report:
         booked = sum(mult * pop_count_formula(t) for t, mult in by_target.items())
         check("weyl-filtration-dimension", booked, formula)
 
-        lhs = _restricted_at_q1(direct)
+        lhs = _restricted_at_q1(fermionic)
         # One walk at q = 1 down lambda's levels from lam^{r-1}, seeded with
         # every target, a key of levels[2]: ellp_i <= n_i gives target_i >=
         # lam_{i+1} - ell_{i+1} >= lam_{i+2}, and target is dominant, so

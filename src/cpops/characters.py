@@ -17,8 +17,8 @@ wider than any coefficient of the result (:func:`_packing`), so a product
 is one integer multiply and a sum one integer add; only the final values
 are read back, digit by digit.
 ``character_direct`` and ``character_fermionic`` expand the dominant part
-to the full character with :func:`expand_dominant`. The two must agree
-exactly, which is the package's central cross-check.
+to the full character with :func:`expand_dominant`; nothing in the package
+calls them, as ``char --method both`` and ``verify`` compare dominant parts.
 
 Each output format has one writer, ``write_json``, ``write_csv``,
 ``write_latex`` or ``write_text``, which writes a character through a
@@ -334,13 +334,13 @@ def _dense_character(rank: int, sums: dict, width: int) -> "GradedCharacter":
 
 def _gap_boxes(lower: tuple, upper: tuple, binomial) -> int:
     # Product of the box generating functions, the Gaussian binomials
-    # [ell + ellp, ell] packed by ``binomial``, over the gaps between two
-    # adjacent rows, in gap_block's (lower, upper) order: box i is (ell,
-    # ellp) = (upper_i - lower_i, lower_i - upper_{i+1}). An eta row's upper
-    # row carries the trailing 0 of its lambda row.
+    # [ell + ellp, ell] given by ``binomial`` (packed ones, or math.comb for
+    # the partition counts), over the gaps between two adjacent rows as
+    # row_levels lists them, in gap_block's (lower, upper) order: box i is
+    # (ell, ellp) = (upper_i - lower_i, lower_i - upper_{i+1}), upper_{j+1} = 0.
     poly = 1
-    for i, x in enumerate(lower):
-        ell, ellp = upper[i] - x, x - upper[i + 1]
+    for u, x, t in zip(upper, lower, upper[1:] + (0,)):
+        ell, ellp = u - x, x - t
         if ell and ellp:  # a box with one side 0 holds one empty partition
             poly *= binomial(ell + ellp, ell)
     return poly
@@ -386,9 +386,8 @@ def _direct_walk(levels: list, state: dict, binomial) -> dict:
         for key, sums in state.items():
             if k % 2 == 0:  # (lam^j, a_{j+1}) -> eta^j
                 row, a_next = key
-                upper = row + (0,)
                 for eta in under[row]:
-                    _push(below, (eta, sum(row), a_next), (), boxes(eta, upper), sums)
+                    _push(below, (eta, sum(row), a_next), (), boxes(eta, row), sums)
             else:  # (eta^j, |lam^j|, a_{j+1}) -> lam^{j-1}, fixing a_j
                 eta, lam_sum, a_next = key
                 for row in under[eta]:

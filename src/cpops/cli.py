@@ -44,6 +44,7 @@ import types
 
 from .branching import (
     count_chains,
+    count_table,
     shtepin_branch_l,
     shtepin_branch_v,
     verify_identities,
@@ -67,7 +68,7 @@ from .characters import (  # noqa: F401
     write_text,
 )
 from .oracle import weyl_dim
-# count and dim --check read count_chains and the listings walk
+# count reads count_table, dim --check count_chains, and the listings walk
 # pattern_chains; the four enumerate_* names are imported only so that
 # perfbench/traced.py can wrap them under this module's name.
 from .patterns import (  # noqa: F401
@@ -75,6 +76,7 @@ from .patterns import (  # noqa: F401
     enumerate_restricted_patterns,
     overlay_positions,
     pattern_chains,
+    row_levels,
 )
 # The pops and monomials listings render from memos of rows and gap blocks
 # and call none of pop_to_json, pop_monomial and monomial_to_json, which stay
@@ -160,13 +162,13 @@ def cmd_dim(args) -> int:
 
 
 def cmd_count(args) -> int:
-    weight = _resolve_weight(args)
-    counts = dict(zip(("patterns", "pops"), count_chains(weight)))
+    lam = _resolve_weight(args).lam
+    table = count_table(row_levels(lam))  # lam is also an eta row under lam
+    counts = dict(zip(("patterns", "pops"), table[lam, False]))
     if args.restricted:
-        eta = weight.lam
-        counts["restricted_patterns"], counts["restricted_pops"] = count_chains(eta, True)
-        counts["restricted_pop_formula"] = restricted_pop_count_formula(eta)
-    counts["pop_formula"] = pop_count_formula(weight)
+        counts["restricted_patterns"], counts["restricted_pops"] = table[lam, True]
+        counts["restricted_pop_formula"] = restricted_pop_count_formula(lam)
+    counts["pop_formula"] = pop_count_formula(lam)
     if args.format == "json":  # json.dumps(counts, sort_keys=True)
         print("{" + ", ".join(f'"{name}": {counts[name]}' for name in sorted(counts)) + "}")
     else:

@@ -216,11 +216,11 @@ VERIFY_FAULTS = {
     "fermionic-extra-term": (
         "dominant_character_fermionic",
         lambda f: _after(f, lambda ch: ch.add_term(99, (0,) * ch.rank)),
-        {"character-direct-vs-fermionic"}),
+        {"character-direct-vs-fermionic", "ungraded-restriction-character"}),
     "fermionic-mult-plus-one": (
         "dominant_character_fermionic",
         lambda f: _after(f, lambda ch: ch.add_term(*min(ch.terms))),
-        {"character-direct-vs-fermionic"}),
+        {"character-direct-vs-fermionic", "ungraded-restriction-character"}),
     "freudenthal-moved-one": (
         "dominant_freudenthal", lambda f: _after(f, _move_one),
         {"zeroth-piece-vs-freudenthal"}),
@@ -230,8 +230,13 @@ VERIFY_FAULTS = {
     "weight-by-roots-zero": (
         "_block_roots", lambda f: lambda rank, lower, upper: (0,) * rank,
         {"pattern-weight-vs-root-expansion"}),
+    # The weight check's row shares come from chain_weight itself.
+    "chain-weight-a1-plus-one": (
+        "chain_weight", lambda f: lambda rows: (f(rows)[0] + 1, *f(rows)[1:]),
+        {"pattern-weight-vs-root-expansion"}),
     "block-count-plus-one": (
-        "_block_count", lambda f: lambda lower, upper: f(lower, upper) + 1,
+        "_gap_boxes",
+        lambda f: lambda lower, upper, binomial: f(lower, upper, binomial) + 1,
         {"pop-refinement-by-top-block", "restricted-refinement-by-top-block"}),
     "pop-formula-plus-one": (
         "pop_count_formula", lambda f: lambda lam: f(lam) + 1,
@@ -305,9 +310,9 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
         direct[lam.lam] += 1
         return walk(lam, rows)
 
-    def block(lower, upper, count=branching._block_count):
+    def block(lower, upper, binomial, count=branching._gap_boxes):
         blocks[lower, upper] += 1
-        return count(lower, upper)
+        return count(lower, upper, binomial)
 
     def walked(row, restricted, walk=patterns.pattern_chains):
         chains[tuple(row), restricted] += 1
@@ -316,7 +321,7 @@ def test_verify_identities_walks_each_stream_once(monkeypatch):
     for module in (branching, characters):
         monkeypatch.setattr(module, "row_levels", listed)
     monkeypatch.setattr(branching, "_direct_character", walked_direct)
-    monkeypatch.setattr(branching, "_block_count", block)
+    monkeypatch.setattr(branching, "_gap_boxes", block)
     monkeypatch.setattr(patterns, "pattern_chains", walked)
     for omegas in ((1, 1, 1), (2, 1, 1)):
         for counter in (tables, levels, direct, blocks, chains):

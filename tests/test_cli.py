@@ -317,7 +317,7 @@ def test_count_text_format(capsys):
 
 
 def test_counts_build_no_pattern_or_overlaid_pattern(capsys, monkeypatch):
-    # count and dim --check sum over row transitions (count_chains) and
+    # count and dim --check sum over row transitions (count_table) and
     # build no PatternC and no Pop.
     def refuse(*args):
         raise AssertionError("a pattern record was built")

@@ -293,17 +293,28 @@ def test_enumerated_overlays_equal_the_gap_construction():
 
 def test_count_chains_equals_the_listings():
     # One pass down the rows counts what the pattern and overlay streams
-    # list, full and restricted; the empty row bounds one rank-0 pattern.
+    # list, full and restricted (lambda is an eta row under itself, so its
+    # table holds both); the empty row bounds one rank-0 pattern.
     weights = [w for r in (1, 2, 3) for w in sweep_dominant_weights(r, 2)]
     weights += [DominantWeight.from_omegas((1, 0, 0, 1)),
                 DominantWeight.from_omegas((12,))]
     for w in weights:
         assert count_chains(w) == (sum(1 for _ in enumerate_patterns(w)),
                                    sum(1 for _ in enumerate_pops(w))), w
-        assert count_chains(w.lam, True) == (
+        assert count_table(row_levels(w.lam))[w.lam, True] == (
             sum(1 for _ in enumerate_restricted_patterns(w.lam)),
             sum(1 for _ in enumerate_restricted_pops(w.lam))), w
-    assert count_chains(()) == count_chains((), True) == (1, 1)
+    assert count_chains(()) == count_table(row_levels(()))[(), True] == (1, 1)
+
+
+def test_full_table_holds_the_restricted_top():
+    # count reads both kinds from lambda's one table: its (lambda, True)
+    # entry is the top entry of the restricted table.
+    weights = [w for r, total in ((1, 6), (2, 4), (3, 3), (4, 2))
+               for w in sweep_dominant_weights(r, total)]
+    for w in weights:
+        restricted = count_table(row_levels(w.lam, True))[w.lam, True]
+        assert count_table(row_levels(w.lam))[w.lam, True] == restricted, w
 
 
 def test_count_table_holds_every_row_under_the_top():
