@@ -8,11 +8,12 @@ It builds no overlaid pattern, lists no partition and walks no pattern chain,
 and every pass reads one :func:`~cpops.patterns.row_levels` table of lambda:
 :func:`count_table` counts the patterns under every row in one pass up it,
 and their overlays by the direct character's box products at q = 1; lambda's
-direct character and the weight check, whose row shares come from
-chain_weight, are passes down it; and the restriction check compares the
-fermionic restriction with one direct walk down it from every target. The count checks compare that one table with closed forms that share
-no code with it: the product formulas under each row below the top, and the
-Weyl dimensions of the rank r-1 rows two levels down.
+direct character and the weight check (row shares from chain_weight, root
+expansions from rootsys.root_vector) are passes down it; and the restriction
+check compares the fermionic restriction with one direct walk down it from
+every target. The count checks compare that one table with closed forms that
+share no code with it: the product formulas under each row below the top,
+and the Weyl dimensions of the rank r-1 rows two levels down.
 The character checks compare dominant parts: each graded piece is invariant
 under signed permutations, so a term or a multiplicity at a dominant weight
 stands for its whole orbit, counted by :func:`orbit_size`.
@@ -69,6 +70,7 @@ from .rootsys import (
     WeightVector,
     lambda_to_omegas,
     lambda_tuple,
+    root_vector,
 )
 
 
@@ -238,17 +240,13 @@ def count_chains(bounding) -> tuple:
 
 
 def _block_roots(rank: int, lower: tuple, upper: tuple) -> WeightVector:
-    # The root expansion of a gap block: the sum of ell * root(position) over
-    # its positions, the root at (i, j, barred) eps_i + eps_j when barred and
-    # eps_i - eps_{j+1} when not (rootsys.root_vector).
+    # The root expansion of a gap block: the sum of ell * root_vector(position)
+    # over its positions.
     acc = [0] * rank
-    for (i, j, barred), (ell, _) in gap_block(lower, upper):
+    for pos, (ell, _) in gap_block(lower, upper):
         if ell:
-            acc[i - 1] += ell
-            if barred:
-                acc[j - 1] += ell
-            else:
-                acc[j] -= ell
+            for t, x in enumerate(root_vector(pos, rank)):
+                acc[t] += ell * x
     return tuple(acc)
 
 

@@ -406,36 +406,37 @@ def character_direct(lam: DominantWeight) -> GradedCharacter:
     return expand_dominant(dominant_character_direct(lam))
 
 
-def _binomial_products(tops: Sequence[int], start: int, binomial) -> list:
-    # Every entry tuple with 0 <= entry_i <= tops[i], each with ``start``
-    # times the Gaussian binomials [tops[i], entry_i] packed by ``binomial``,
+def _binomial_products(tops: tuple, binomial) -> list:
+    # Every entry tuple with 0 <= entry_i <= tops[i], each with the product
+    # of the Gaussian binomials [tops[i], entry_i] packed by ``binomial``,
     # built one position at a time; a negative top admits no entry.
-    products = [((), start)]
+    products = [((), 1)]
     for n in tops:
         products = [(entries + (e,), poly * binomial(n, e))
                     for entries, poly in products for e in range(n + 1)]
     return products
 
 
-def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple, binomial) -> dict:
+def _fermionic_level(omegas: tuple, lam_t: tuple, j: int, key: tuple, products) -> dict:
     # Walk level j from a key (T_1..T_{j+1}, a_{j+1}, a_{j+2}) at the
     # boundary before it: child key -> summed binomial products of the
-    # level's entries that lead to it. The unbarred entries (i, j) come
-    # first, then the barred ones; level r has no unbarred entries.
+    # level's entries that lead to it, read from ``products``, a per-call
+    # memo of _binomial_products. The unbarred entries (i, j) come first,
+    # then the barred ones; level r has no unbarred entries.
     totals, a_hi, a_top = key
-    tops = ([omegas[i] + totals[i + 1] - totals[i] for i in range(j)]
-            if j < len(lam_t) else [0] * j)
+    tops = (tuple([omegas[i] + totals[i + 1] - totals[i] for i in range(j)])
+            if j < len(lam_t) else (0,) * j)
     out = {}
-    for unbarred, poly in _binomial_products(tops, 1, binomial):
+    for unbarred, poly in products(tops):
         hi = a_hi + sum(unbarred)  # a_{j+1} is final after level j
         if hi < a_top:
             continue
         walked = tuple(map(add, totals, unbarred))  # T_1..T_j after the unbarred block
         lo = lam_t[j - 1] - walked[j - 1]
-        barred_tops = [omegas[i] + walked[i + 1] - walked[i] for i in range(j - 1)] + [lo]
-        for barred, prod in _binomial_products(barred_tops, poly, binomial):
+        barred_tops = tuple([omegas[i] + walked[i + 1] - walked[i] for i in range(j - 1)]) + (lo,)
+        for barred, prod in products(barred_tops):
             child = (tuple(map(add, walked, barred)), lo - sum(barred) - barred[-1], hi)
-            out[child] = out.get(child, 0) + prod
+            out[child] = out.get(child, 0) + poly * prod
     return out
 
 
@@ -471,11 +472,12 @@ def dominant_character_fermionic(lam: DominantWeight) -> GradedCharacter:
     """
     r, omegas, lam_t = lam.rank, lam.omegas, lam.lam
     width, binomial = _packing(lam)
+    products = cache(partial(_binomial_products, binomial=binomial))
     state = {((0,) * (r + 1), 0, 0): {(): 1}}
     for j in range(r, 0, -1):
         below = {}
         for key, sums in state.items():
-            for child, poly in _fermionic_level(omegas, lam_t, j, key, binomial).items():
+            for child, poly in _fermionic_level(omegas, lam_t, j, key, products).items():
                 # a_{j+1} is final now; a_{r+1} = 0 is no coordinate.
                 _push(below, child, (child[2],) if j < r else (), poly, sums)
         state = below
@@ -612,26 +614,25 @@ def _write_runs(write, ch: GradedCharacter, expand: bool, image, groups, sep: st
                 empty: str) -> None:
     # Each group lists (weight, pre, post) with distinct weights of ``ch``.
     # Its lines, pre + image text + post over every image of its weights,
-    # go out in descending order of image, merged by one sort over the
-    # concatenated descending runs of keys. ``image`` is the (piece, finish)
-    # pair that _orbit_runs renders images with. Groups are joined by
-    # ``sep``; when there is no line at all, ``empty`` is written instead.
+    # go out in descending order of image, merged by one descending sort of
+    # the packed keys key * n + g, g the weight's index among the group's n:
+    # p % n is g, a negative key too, and a weight's images come in
+    # descending order, so each line takes the next text of its run. ``image``
+    # is the (piece, finish) pair that _orbit_runs renders images with.
+    # Groups are joined by ``sep``; with no line at all, ``empty`` is written.
     runs = _orbit_runs(ch, expand, *image)
     written = False
     for group in groups:
-        keys, texts, pres, posts = [], [], [], []
-        for mu, pre, post in group:
-            run, rendered = runs[mu]
-            keys += run
-            texts += rendered
-            pres += [pre] * len(run)
-            posts += [post] * len(run)
-        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-        for start in range(0, len(order), _WRITE_LINES):
+        n, packed = len(group), []
+        for g, (mu, _, _) in enumerate(group):
+            packed += [key * n + g for key in runs[mu][0]]
+        packed.sort(reverse=True)
+        lines = [(pre, iter(runs[mu][1]), post) for mu, pre, post in group]
+        for start in range(0, len(packed), _WRITE_LINES):
             if written:
                 write(sep)
-            write(sep.join([pres[i] + texts[i] + posts[i]
-                            for i in order[start:start + _WRITE_LINES]]))
+            write(sep.join([pre + next(texts) + post for pre, texts, post
+                            in [lines[p % n] for p in packed[start:start + _WRITE_LINES]]]))
             written = True
     if not written:
         write(empty)

@@ -43,6 +43,7 @@ import sys
 import types
 
 from .branching import (
+    _int_array,
     count_chains,
     count_table,
     shtepin_branch_l,
@@ -188,7 +189,7 @@ def cmd_count(args) -> int:
 # than patterns, and a process runs one command.
 class _Rows(dict):
     def __missing__(self, row):
-        self[row] = text = "[" + ", ".join(map(str, row)) + "]"
+        self[row] = text = _int_array(row)
         return text
 
 
@@ -248,16 +249,14 @@ def _position_json(pos) -> str:
 
 def _pops_json_slots(pos, box) -> list:
     prefix = f'{{{_position_json(pos)}, "parts": '
-    return [f"{prefix}[{', '.join(map(str, parts))}]}}"
-            for parts in partitions_in_box(*box)]
+    return [f"{prefix}{_int_array(parts)}}}" for parts in partitions_in_box(*box)]
 
 
 def _pops_text_slots(pos, box) -> list:
     # The overlays as one JSON object keyed by label: each slot starts with
     # its quoted label.
     key = f'"{label_text(pos)}": '
-    return [key + "[" + ", ".join(map(str, parts)) + "]"
-            for parts in partitions_in_box(*box)]
+    return [key + _int_array(parts) for parts in partitions_in_box(*box)]
 
 
 def _word_slots(by_t: list, box, sep: str) -> list:

@@ -193,6 +193,18 @@ def _move_one(table):
     table[max(table)] += 1
 
 
+def _barred_minus(root_vector):
+    # root_vector with eps_i - eps_j for barred (i, j), i < j, in place of
+    # eps_i + eps_j: positive_roots(2) then lists (1, -1) twice.
+    def faulty(label, rank):
+        v = root_vector(label, rank)
+        i, j, barred = label
+        if barred and i < j:
+            v = v[:j - 1] + (v[j - 1] - 2,) + v[j:]
+        return v
+    return faulty
+
+
 def _move_one_pattern(counts, levels):
     # Move one pattern from the last eta row under the top to the first; the
     # top's total stays.
@@ -230,6 +242,9 @@ VERIFY_FAULTS = {
     "weight-by-roots-zero": (
         "_block_roots", lambda f: lambda rank, lower, upper: (0,) * rank,
         {"pattern-weight-vs-root-expansion"}),
+    # The weight check's root expansions sum the library's root_vector.
+    "root-vector-barred-sign": (
+        "root_vector", _barred_minus, {"pattern-weight-vs-root-expansion"}),
     # The weight check's row shares come from chain_weight itself.
     "chain-weight-a1-plus-one": (
         "chain_weight", lambda f: lambda rows: (f(rows)[0] + 1, *f(rows)[1:]),
